@@ -123,6 +123,15 @@ class TrialRecord:
     corrected_distortion: float | None = None
     triangle_ok: bool | None = None
 
+    def add_correction(self, move: float, corrected: float, q: float) -> None:
+        """Record the correction stage of this trial and check the
+        per-block triangle inequality
+        corrected^(1/q) <= distortion^(1/q) + move^(1/q)."""
+        self.correction_move = move
+        self.corrected_distortion = corrected
+        rhs = self.distortion ** (1.0 / q) + move ** (1.0 / q)
+        self.triangle_ok = bool(corrected ** (1.0 / q) <= rhs + 1e-9)
+
     def to_dict(self) -> dict:
         return {
             "trial": self.trial,
@@ -285,57 +294,6 @@ def soft_covering_exact(p_v: Pmf, w_given_v: Channel, n: int, r: float,
     return float(np.mean(tvs))
 
 
-def _repair_marginals(table: np.ndarray, row_target: np.ndarray,
-                      col_target: np.ndarray) -> np.ndarray:
-    """Nudge a near-coupling onto its marginals to machine precision.
-
-    Rows are rescaled onto row_target, then column surpluses are moved
-    into column deficits proportionally within columns; row sums are
-    untouched by the second pass, so both marginals end exact up to
-    float rounding.
-    """
-    t = np.clip(np.asarray(table, dtype=float), 0.0, None).copy()
-    sums = t.sum(axis=1)
-    for i in range(t.shape[0]):
-        if row_target[i] <= 0.0:
-            t[i] = 0.0
-        elif sums[i] > 0.0:
-            t[i] *= row_target[i] / sums[i]
-        else:
-            t[i] = row_target[i] * col_target / col_target.sum()
-    err = col_target - t.sum(axis=0)
-    tiny = 1e-15
-    deficits = [j for j in range(t.shape[1]) if err[j] > tiny]
-    for b in deficits:
-        while err[b] > tiny:
-            a = int(np.argmin(err))
-            if err[a] >= -tiny:
-                break
-            move = min(-err[a], err[b])
-            col = t[:, a]
-            total = col.sum()
-            if total <= 0.0:
-                err[a] = 0.0
-                continue
-            share = col * (move / total)
-            t[:, a] -= share
-            t[:, b] += share
-            err[a] += move
-            err[b] -= move
-    return t
-
-
-def _conditional_rows(table: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    rows = table.copy()
-    sums = rows.sum(axis=1)
-    for i in range(rows.shape[0]):
-        if sums[i] > 0.0:
-            rows[i] /= sums[i]
-        else:
-            rows[i] = fallback
-    return rows
-
-
 def _block_cost(rho: np.ndarray, left: np.ndarray,
                 right: np.ndarray) -> np.ndarray:
     """Mean per-letter cost between every pair of enumerated blocks."""
@@ -426,9 +384,8 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
         rho_yy = _block_cost(cfg.rho.costs, yb, yb)
         plan = solve_ot(TransportProblem(Pmf(out_law), Pmf(psi_n), rho_yy),
                         cap=max(4096, out_law.size))
-        repaired = _repair_marginals(plan.table, out_law, psi_n)
-        ot_cost = float((repaired * rho_yy).sum())
-        cond = _conditional_rows(repaired, psi_n)
+        ot_cost = plan.cost
+        cond = plan.conditional_rows()
         joint_post = joint @ cond
         final_law = out_law @ cond
         mean_d = float(np.einsum("xy,xy->", joint_post, rho_xy))
@@ -453,11 +410,8 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
                           distortion=float(rho_xy[x_idx, y_idx]))
         if cfg.correction:
             y_hat = int(rng.choice(psi_n.size, p=cond[y_idx]))
-            rec.correction_move = float(rho_yy[y_idx, y_hat])
-            rec.corrected_distortion = float(rho_xy[x_idx, y_hat])
-            lhs = rec.corrected_distortion ** (1.0 / q)
-            rhs = rec.distortion ** (1.0 / q) + rec.correction_move ** (1.0 / q)
-            rec.triangle_ok = bool(lhs <= rhs + 1e-9)
+            rec.add_correction(float(rho_yy[y_idx, y_hat]),
+                               float(rho_xy[x_idx, y_hat]), q)
         records.append(rec)
 
     trial_mean = (float(np.mean([
@@ -516,8 +470,8 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
         # law to the target symbols and relabel letter by letter
         emp = np.bincount(ys.ravel(), minlength=psi.size).astype(float)
         emp /= emp.sum()
-        plan = solve_ot(TransportProblem(Pmf(emp), Pmf(psi), rho))
-        cond = _conditional_rows(_repair_marginals(plan.table, emp, psi), psi)
+        cond = solve_ot(TransportProblem(Pmf(emp), Pmf(psi), rho)
+                        ).conditional_rows()
         rng_c = _stream(cfg.seed, _STREAM_CORRECTION)
         u = rng_c.random(ys.shape)
         cum = cond.cumsum(axis=1)
@@ -539,11 +493,7 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
                           encoder_fallback=bool(fbs[t]),
                           distortion=float(d_pre[t]))
         if cfg.correction:
-            rec.correction_move = float(moves[t])
-            rec.corrected_distortion = float(d_post[t])
-            lhs = rec.corrected_distortion ** (1.0 / q)
-            rhs = rec.distortion ** (1.0 / q) + rec.correction_move ** (1.0 / q)
-            rec.triangle_ok = bool(lhs <= rhs + 1e-9)
+            rec.add_correction(float(moves[t]), float(d_post[t]), q)
         records.append(rec)
 
     mean_d = float((d_post if cfg.correction else d_pre).mean())

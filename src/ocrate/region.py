@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import brentq, minimize
 
 from .info import (
     Channel,
@@ -45,13 +45,17 @@ from .info import (
     entropy,
     mutual_information,
 )
-from .transport import Coupling, TransportProblem, solve_ot
+from .transport import (COST_SLACK, Coupling, TransportProblem, optimal_face,
+                        repair_marginals, solve_ot)
 
 INF = float("inf")
 
-# conditional-gradient stopping rule
+# the minimum-information value is certified to this many bits
 MMI_GAP_TOL = 1e-7
-MMI_MAX_ITERS = 10_000
+
+# a safety cap: at a huge multiplier a scaling can settle very slowly;
+# on the test and benchmark instances the slowest took 1490 sweeps
+_SCALING_SWEEPS = 100_000
 
 # interval width for bisection on monotone brackets
 BISECT_TOL = 1e-10
@@ -205,84 +209,68 @@ def _information_bits(table: np.ndarray, ref: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-class _PolytopeOracle:
-    """Linear minimization over {P >= 0, fixed marginals, <rho, P> <= d}."""
+def _sinkhorn(log_k: np.ndarray, mu: np.ndarray, psi: np.ndarray,
+              g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Potentials (f, g) that scale the kernel exp(log_k) onto the
+    marginals (mu, psi), starting from the column potentials g.
 
-    def __init__(self, mu: np.ndarray, psi: np.ndarray,
-                 rho: np.ndarray, d: float):
-        m, n = rho.shape
-        a_eq = np.zeros((m + n - 1, m * n))
-        for i in range(m):
-            a_eq[i, i * n:(i + 1) * n] = 1.0
-        for j in range(n - 1):
-            a_eq[m + j, j::n] = 1.0
-        self.a_eq = a_eq
-        self.b_eq = np.concatenate([mu, psi[:-1]])
-        self.a_ub = rho.reshape(1, -1)
-        self.b_ub = np.array([d])
-        self.shape = (m, n)
-
-    def __call__(self, grad: np.ndarray) -> np.ndarray:
-        res = linprog(grad.ravel(), A_eq=self.a_eq, b_eq=self.b_eq,
-                            A_ub=self.a_ub, b_ub=self.b_ub,
-                            bounds=(0, None), method="highs-ds")
-        if res.status != 0:
-            raise RuntimeError(f"linear oracle failed: {res.message}")
-        return np.clip(res.x.reshape(self.shape), 0.0, None)
-
-
-def _line_search(p: np.ndarray, step: np.ndarray, hi: float) -> float:
-    """Exact line search for sum(x log x) along p + gamma * step.
-
-    The directional derivative is increasing in gamma, so bisection on
-    its sign finds the minimizer; step sums to zero, which removes the
-    constant term of the derivative.
+    The plan exp(log_k + f + g) has exact column sums. Short of the
+    optimum each sweep raises the dual <f, mu> + <g, psi>, and the l1
+    error of the row sums falls, though not at every sweep. Sweeps stop
+    at the first one that improves neither on its best so far, which
+    happens once rounding has the last word; RuntimeError is raised if
+    that has not happened within _SCALING_SWEEPS sweeps.
     """
-
-    def slope(gamma: float) -> float:
-        q = np.maximum(p + gamma * step, _LOG_FLOOR)
-        return float(np.sum(step * np.log2(q)))
-
-    if slope(hi) <= 0.0:
-        return hi
-    lo = 0.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    log_mu, log_psi = np.log(mu), np.log(psi)
+    f = log_mu - np.logaddexp.reduce(log_k + g, axis=1)
+    err, dual = INF, -INF
+    for _ in range(_SCALING_SWEEPS):
+        g = log_psi - np.logaddexp.reduce(log_k + f[:, None], axis=0)
+        f_next = log_mu - np.logaddexp.reduce(log_k + g, axis=1)
+        # the row sums of exp(log_k + f + g) are mu * exp(f - f_next)
+        new_err = float(mu @ np.abs(np.expm1(f - f_next)))
+        new_dual = float(f @ mu + g @ psi)
+        if new_err >= err and new_dual <= dual:
+            return f, g
+        err, dual = min(err, new_err), max(dual, new_dual)
+        f = f_next
+    raise RuntimeError(f"Sinkhorn scaling still moving after "
+                       f"{_SCALING_SWEEPS} sweeps (row error {err:.1e})")
 
 
 def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
-                           gap_tol: float = MMI_GAP_TOL,
-                           max_iters: int = MMI_MAX_ITERS,
                            ) -> tuple[float, Coupling | None]:
     """Minimum I(X;Y) in bits over couplings of (mu, psi) with expected
     distortion at most d.
 
-    The objective is convex over the transportation polytope cut by the
-    distortion half-space, so a conditional-gradient scheme applies:
-    each step solves a linear transport oracle over the same polytope,
-    moves along either the forward or an away direction with exact line
-    search, and keeps every iterate inside the feasible set. The value
-    returned is therefore always an attained upper bound, and the final
-    forward gap certifies it is within gap_tol of the optimum (the loop
-    stops at gap_tol or after max_iters steps, whichever comes first).
+    On the joint support, I(X;Y) of a coupling P is KL(P || mu x psi).
+    For a multiplier beta >= 0 on the budget, the coupling that minimizes
+    KL(P || mu x psi) + beta <P, rho> is the Sinkhorn scaling of the
+    kernel mu x psi exp(-beta rho) onto the marginals. Its cost falls as
+    beta grows, so Brent's method on beta (each scaling warm-started
+    from the last potentials) brings the cost down to d; the search keeps
+    the smallest beta whose plan fits the budget. That plan is snapped
+    onto the marginals exactly and its information is the value, so the
+    value is always attained by a feasible witness.
 
-    Returns (value_bits, witness coupling), or (inf, None) when no
-    coupling meets the budget (checked exactly via one transport solve:
-    feasible iff the minimum transport cost is <= d).
+    Certificate: for any potentials f, g and beta >= 0 the Lagrangian
+    dual <f, mu> + <g, psi> - beta d - sum mu x psi exp(f + g - beta rho)
+    + 1 (in nats) lies below the optimum. Evaluated at the final
+    potentials it must be within MMI_GAP_TOL bits of the value, or
+    RuntimeError is raised.
+
+    Edge cases: a budget below the minimum transport cost (one exact
+    transport solve) gives (inf, None); a budget the independent
+    coupling fits, up to a few ulps, gives exactly 0. At the minimum
+    transport cost beta is infinite and only minimum-cost couplings fit:
+    the kernel is mu x psi restricted to the cells that some optimal
+    plan uses (transport.optimal_face), and the dual above is that of
+    the restricted problem.
     """
     if rho.shape != (mu.size, psi.size):
         raise ValueError("distortion matrix shape does not match marginals")
     if math.isnan(d) or d < 0.0:
         raise DomainError("distortion budget must be >= 0")
-
-    base = solve_ot(TransportProblem(mu, psi, rho.costs))
-    if base.cost > d + 1e-12:
-        return INF, None
 
     # work on the joint support; massless symbols carry no information
     su = mu.support()
@@ -292,74 +280,60 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     rho_s = rho.costs[np.ix_(su, sv)]
     ref = np.outer(mu_s, psi_s)
 
+    base, face = optimal_face(
+        solve_ot(TransportProblem(mu, psi, rho.costs)).table[np.ix_(su, sv)],
+        rho_s)
+    low = float((base * rho_s).sum())
+    if low > d + COST_SLACK:
+        return INF, None
+
     def embed(table_s: np.ndarray, cost: float) -> Coupling:
         full = np.zeros(rho.shape)
         full[np.ix_(su, sv)] = table_s
         return Coupling(full, cost)
 
     ind_cost = float((ref * rho_s).sum())
-    if ind_cost <= d:
+    # a budget computed as mu @ rho @ psi can land a few ulps below this
+    # sum of the same numbers
+    if ind_cost <= d + 4.0 * np.spacing(ind_cost):
         # the independent coupling is feasible and has zero information
         return 0.0, embed(ref, ind_cost)
 
-    # a hair of slack keeps the oracle feasible when d sits exactly at
-    # the minimum transport cost up to float noise
-    oracle = _PolytopeOracle(mu_s, psi_s, rho_s, max(d, base.cost))
+    log_ref = np.log(ref)
+    if d <= low + COST_SLACK:
+        # only minimum-cost couplings fit; on their face the budget binds
+        # no further and beta drops out
+        beta = 0.0
+        log_k = np.where(face, log_ref, -INF)
+        f, g = _sinkhorn(log_k, mu_s, psi_s, np.zeros(psi_s.size))
+    else:
+        best = [INF, None, None]
+        g = np.zeros(psi_s.size)
 
-    # start from a vertex so away steps have an exact representation
-    start_mix = base.table[np.ix_(su, sv)]
-    alpha = min(max((d - base.cost) / (ind_cost - base.cost), 0.0), 1.0)
-    warm = (1.0 - alpha) * start_mix + alpha * ref
-    grad_warm = np.log2(np.maximum(warm, _LOG_FLOOR))
-    p = oracle(grad_warm)
-    active: dict[bytes, tuple[np.ndarray, float]] = {
-        np.round(p, 12).tobytes(): (p.copy(), 1.0)}
+        def excess(b: float) -> float:
+            nonlocal g
+            log_k = log_ref - b * rho_s
+            f, g = _sinkhorn(log_k, mu_s, psi_s, g)
+            over = float((np.exp(log_k + f[:, None] + g) * rho_s).sum()) - d
+            if over <= 0.0 and b < best[0]:
+                best[:] = b, f, g
+            return over
 
-    for _ in range(max_iters):
-        grad = np.log2(np.maximum(p, _LOG_FLOOR))
-        s = oracle(grad)
-        gap = float(np.sum(grad * (p - s)))
-        if gap < gap_tol:
-            break
+        hi = 1.0
+        while excess(hi) > 0.0:
+            hi *= 2.0
+        brentq(excess, 0.5 * hi if hi > 1.0 else 0.0, hi)
+        beta, f, g = best
+        log_k = log_ref - beta * rho_s
 
-        away_key = max(active, key=lambda k: float(np.sum(grad * active[k][0])))
-        v, wv = active[away_key]
-        away_gap = float(np.sum(grad * (v - p)))
-
-        if gap >= away_gap or len(active) == 1:
-            step = s - p
-            gamma = _line_search(p, step, 1.0)
-            p = p + gamma * step
-            key = np.round(s, 12).tobytes()
-            if gamma >= 1.0 - 1e-12:
-                active = {key: (s, 1.0)}
-            else:
-                active = {k: (vec, w * (1.0 - gamma))
-                          for k, (vec, w) in active.items()}
-                vec, w = active.get(key, (s, 0.0))
-                active[key] = (vec, w + gamma)
-        else:
-            step = p - v
-            gamma_max = wv / (1.0 - wv) if wv < 1.0 else 1.0
-            gamma = _line_search(p, step, gamma_max)
-            p = p + gamma * step
-            # x+ = (1 + gamma) x - gamma v in barycentric coordinates
-            active = {k: (vec, w * (1.0 + gamma))
-                      for k, (vec, w) in active.items()}
-            vec, w = active[away_key]
-            new_w = w - gamma
-            if new_w <= 1e-15:
-                del active[away_key]
-            else:
-                active[away_key] = (vec, new_w)
-
-        total = sum(w for _, w in active.values())
-        if abs(total - 1.0) > 1e-9:
-            active = {k: (vec, w / total) for k, (vec, w) in active.items()}
-
-    p = np.clip(p, 0.0, None)
-    value = _information_bits(p, ref)
-    return value, embed(p, float((p * rho_s).sum()))
+    plan = np.exp(log_k + f[:, None] + g)
+    witness = repair_marginals(plan, mu_s, psi_s)
+    value = _information_bits(witness, ref)
+    dual = (f @ mu_s + g @ psi_s - beta * d - plan.sum() + 1.0) / math.log(2.0)
+    if value - dual > MMI_GAP_TOL:
+        raise RuntimeError(f"information {value!r} is not certified: the "
+                           f"dual bound is {dual!r}")
+    return value, embed(witness, float((witness * rho_s).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +709,7 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
         raise ValueError("need at least one restart")
 
     base = solve_ot(TransportProblem(mu, psi, rho.costs))
-    if base.cost > d + 1e-12:
+    if base.cost > d + COST_SLACK:
         return INF, None
 
     if dist_tol is None:

@@ -23,6 +23,9 @@ OT_SIDE_CAP = 4096
 # couplings must reproduce their marginals at least this well
 MARGINAL_SLACK = 1e-9
 
+# transport costs within this of each other count as equal
+COST_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class TransportProblem:
@@ -86,11 +89,53 @@ def _transport_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarr
     return plan
 
 
+def repair_marginals(table: np.ndarray, row_target: np.ndarray,
+                     col_target: np.ndarray) -> np.ndarray:
+    """Nudge a near-coupling onto its marginals to machine precision.
+
+    Rows are rescaled onto row_target, then column surpluses are moved
+    into column deficits proportionally within columns; row sums are
+    untouched by the second pass, so both marginals end exact up to
+    float rounding.
+    """
+    t = np.clip(np.asarray(table, dtype=float), 0.0, None).copy()
+    sums = t.sum(axis=1)
+    for i in range(t.shape[0]):
+        if row_target[i] <= 0.0:
+            t[i] = 0.0
+        elif sums[i] > 0.0:
+            t[i] *= row_target[i] / sums[i]
+        else:
+            t[i] = row_target[i] * col_target / col_target.sum()
+    err = col_target - t.sum(axis=0)
+    tiny = 1e-15
+    deficits = [j for j in range(t.shape[1]) if err[j] > tiny]
+    for b in deficits:
+        while err[b] > tiny:
+            a = int(np.argmin(err))
+            if err[a] >= -tiny:
+                break
+            move = min(-err[a], err[b])
+            col = t[:, a]
+            total = col.sum()
+            if total <= 0.0:
+                err[a] = 0.0
+                continue
+            share = col * (move / total)
+            t[:, a] -= share
+            t[:, b] += share
+            err[a] += move
+            err[b] -= move
+    return t
+
+
 def solve_ot(problem: TransportProblem, cap: int = OT_SIDE_CAP) -> Coupling:
     """Exact minimum-cost coupling of the two marginals.
 
     Raises CapExceeded when either side is larger than cap (4096 by
-    default). The returned plan reproduces the marginals to 1e-9.
+    default). HiGHS meets the marginals only to its own feasibility
+    tolerance (about 1e-7 on large problems), so the plan is snapped
+    onto them with repair_marginals; it then reproduces them to 1e-9.
     """
     mu = problem.source.probs
     nu = problem.target.probs
@@ -100,13 +145,90 @@ def solve_ot(problem: TransportProblem, cap: int = OT_SIDE_CAP) -> Coupling:
     sv = np.flatnonzero(nu > 0.0)
     plan_s = _transport_lp(mu[su], nu[sv], problem.costs[np.ix_(su, sv)])
     plan = np.zeros_like(problem.costs)
-    plan[np.ix_(su, sv)] = plan_s
+    plan[np.ix_(su, sv)] = repair_marginals(plan_s, mu[su], nu[sv])
     cost = float((plan * problem.costs).sum())
     coupling = Coupling(plan, cost)
     if (np.max(np.abs(coupling.source_marginal() - mu)) > MARGINAL_SLACK
             or np.max(np.abs(coupling.target_marginal() - nu)) > MARGINAL_SLACK):
         raise RuntimeError("transport plan does not reproduce the marginals")
     return coupling
+
+
+def _residual_weights(plan: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Edge costs of a plan's residual graph, inf where there is no edge.
+    Nodes are rows 0..m-1 and columns m..m+n-1: any cell may gain mass
+    (row to column, +cost), a cell in use may lose it (column to row,
+    -cost)."""
+    m, n = costs.shape
+    w = np.full((m + n, m + n), np.inf)
+    w[:m, m:] = costs
+    w[m:, :m] = np.where(plan.T > 0.0, -costs.T, np.inf)
+    return w
+
+
+def _negative_cycle(w: np.ndarray) -> list[int] | None:
+    """Nodes of a negative cycle of the graph with edge costs w (inf for
+    no edge), listed against the edge direction, or None if there is
+    none; Bellman-Ford from a virtual source."""
+    size = w.shape[0]
+    dist = np.zeros(size)
+    pred = np.full(size, -1)
+    for _ in range(size):
+        cand = dist[:, None] + w
+        src = cand.argmin(axis=0)
+        best = cand[src, np.arange(size)]
+        moved = best < dist - COST_SLACK
+        if not moved.any():
+            return None
+        dist = np.where(moved, best, dist)
+        pred = np.where(moved, src, pred)
+    # still improving after size rounds: walking back size steps lands
+    # on a cycle of the predecessor links, and that cycle is negative
+    node = int(np.flatnonzero(moved)[0])
+    for _ in range(size):
+        node = int(pred[node])
+    cycle = [node]
+    while pred[cycle[-1]] != node:
+        cycle.append(int(pred[cycle[-1]]))
+    return cycle
+
+
+def optimal_face(plan: np.ndarray,
+                 costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The face of minimum-cost couplings, read off one coupling.
+
+    plan must reproduce positive marginals and have minimum cost up to
+    traces of mass on other cells, as the plans of solve_ot can when a
+    symbol is lighter than the HiGHS tolerance. Mass is pushed around
+    negative cycles of the residual graph until none is left. A cell is
+    then used by some minimum-cost coupling iff it lies on a zero-cost
+    cycle; shortest paths come from Floyd-Warshall. Zero reduced cost
+    under some dual solution is not enough: the duals of a degenerate
+    vertex can price unused cells at zero.
+
+    Returns the cleaned plan and the mask of those cells.
+    """
+    m = costs.shape[0]
+    plan = plan.copy()
+    while (cycle := _negative_cycle(_residual_weights(plan, costs))):
+        # cycle holds each edge's head before its tail; an edge from row
+        # i to column j adds mass to cell (i, j), one from column j to
+        # row i takes it away
+        steps = list(zip(cycle[1:] + cycle[:1], cycle))
+        gain = [(a, b - m) for a, b in steps if a < m]
+        lose = [(b, a - m) for a, b in steps if a >= m]
+        amounts = [plan[cell] for cell in lose]
+        k = int(np.argmin(amounts))
+        for cell in gain:
+            plan[cell] += amounts[k]
+        for cell in lose:
+            plan[cell] -= amounts[k]
+        plan[lose[k]] = 0.0
+    dist = _residual_weights(plan, costs)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(dist.shape[0]):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    return plan, costs + dist[m:, :m].T <= COST_SLACK
 
 
 def sample_coupling_conditional(coupling: Coupling, x: int,

@@ -196,6 +196,17 @@ def test_exact_run_invariants():
     assert pre_tvs[2] <= 0.5
 
 
+def test_exact_block_correction_at_n8():
+    # HiGHS misses the 256-block marginals by more than 1e-9 here; the
+    # transport layer must snap the plan onto them instead of failing
+    cfg = SimConfig(triple=_quarter_triple(), rho=HAMMING2, n=8, r=0.6,
+                    rc=0.6, trials=4, seed=1, mode="exact")
+    rep = run_simulation(cfg)
+    assert rep.mode == "exact"
+    assert rep.tv_output_vs_iid <= 1e-9
+    assert all(rec.triangle_ok for rec in rep.trials)
+
+
 def test_exact_run_determinism():
     triple = _quarter_triple()
     cfg = SimConfig(triple=triple, rho=HAMMING2, n=4, r=0.6, rc=0.6,

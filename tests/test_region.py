@@ -31,7 +31,9 @@ from ocrate import (
     wyner_bsc,
 )
 from ocrate.region import _MaxInfoProgram
-from oracles import grid_mmi_3x3, random_mmi_instance
+from ocrate.transport import TransportProblem, solve_ot
+from oracles import (grid_mmi_3x3, mmi_dual_lower_bound,
+                     ot_vertex_enumeration, random_mmi_instance)
 
 BERN_HALF = Pmf(np.array([0.5, 0.5]))
 HAMMING2 = DistortionMatrix.hamming(2)
@@ -80,6 +82,65 @@ def test_mmi_witness_is_valid_and_tight():
         from ocrate import JointPmf
         assert value == pytest.approx(
             mutual_information(JointPmf(coupling.table)), abs=1e-9)
+        assert value <= mmi_dual_lower_bound(mu, psi, rho, d) + 1e-7
+
+
+def test_mmi_reaches_dual_bound_near_transport_minimum():
+    """Dirichlet(1) marginals leave some symbols nearly massless, and the
+    budget sits just above the minimum transport cost."""
+    rng = np.random.default_rng(5)
+    mu = rng.dirichlet(np.ones(6))
+    psi = rng.dirichlet(np.ones(6))
+    rho = rng.random((6, 6))
+    low = solve_ot(TransportProblem(Pmf(mu), Pmf(psi), rho)).cost
+    high = float(mu @ rho @ psi)
+    d = low + 1e-3 * (high - low)
+    value, coupling = mmi_constrained_output(Pmf(mu), Pmf(psi),
+                                             DistortionMatrix(rho), d)
+    assert float(np.sum(coupling.table * rho)) <= d + 1e-9
+    assert value <= mmi_dual_lower_bound(mu, psi, rho, d) + 1e-6
+
+
+def test_mmi_at_transport_minimum_spans_the_optimal_face():
+    """At d = 0 the zero-cost couplings form a face with more than one
+    vertex; the optimum spreads over it, where a vertex has 1.5 bits."""
+    quarter = Pmf(np.array([0.25, 0.25, 0.5]))
+    rho = DistortionMatrix(np.array([[0.0, 0.0, 1.0],
+                                     [0.0, 0.0, 1.0],
+                                     [1.0, 1.0, 0.0]]))
+    value, coupling = mmi_constrained_output(quarter, quarter, rho, 0.0)
+    assert value == pytest.approx(1.0, abs=1e-9)
+    assert float(np.sum(coupling.table * rho.costs)) == 0.0
+
+
+def test_mmi_at_transport_minimum_with_a_nearly_massless_symbol():
+    # HiGHS drops a 1e-9 symbol from its vertex, so the transport plan
+    # is snapped onto the marginals with mass on non-optimal cells
+    rng = np.random.default_rng(1)
+    mu = rng.dirichlet(np.ones(4))
+    psi = rng.dirichlet(np.ones(4))
+    rho = rng.random((4, 4))
+    mu[0] = 1e-9
+    mu /= mu.sum()
+    d = ot_vertex_enumeration(mu, psi, rho)
+    value, coupling = mmi_constrained_output(Pmf(mu), Pmf(psi),
+                                             DistortionMatrix(rho), d)
+    assert np.max(np.abs(coupling.source_marginal() - mu)) <= 1e-9
+    assert np.max(np.abs(coupling.target_marginal() - psi)) <= 1e-9
+    assert float(np.sum(coupling.table * rho)) <= d + 1e-9
+    assert value >= mmi_dual_lower_bound(mu, psi, rho, d) - 1e-9
+
+
+def test_mmi_budget_at_independent_cost_gives_zero():
+    # mu @ rho @ psi rounds one step below the cell-by-cell sum here
+    rng = np.random.default_rng(0)
+    mu = rng.dirichlet(8.0 * np.ones(3))
+    psi = rng.dirichlet(8.0 * np.ones(3))
+    rho = DistortionMatrix.hamming(3)
+    d = float(mu @ rho.costs @ psi)
+    assert d < float(np.sum(np.outer(mu, psi) * rho.costs))
+    value, _ = mmi_constrained_output(Pmf(mu), Pmf(psi), rho, d)
+    assert value == 0.0
 
 
 def test_mmi_against_grid_oracle():

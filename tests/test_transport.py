@@ -14,6 +14,7 @@ from ocrate.transport import (
     Coupling,
     TransportProblem,
     monotone_coupling_quadratic,
+    optimal_face,
     sample_coupling_conditional,
     solve_ot,
 )
@@ -153,6 +154,21 @@ def test_conditional_sampler_errors():
     zero_row = Coupling(table=np.array([[1.0, 0.0], [0.0, 0.0]]), cost=0.0)
     with pytest.raises(ValueError):
         sample_coupling_conditional(zero_row, 1, rng)
+
+
+def test_optimal_face_clears_traces_and_keeps_only_used_cells():
+    # a trace of mass on the off-diagonal of the binary Hamming pair
+    # goes back onto the diagonal, the only optimal cells
+    noisy = np.array([[0.5 - 1e-9, 1e-9], [1e-9, 0.5 - 1e-9]])
+    plan, face = optimal_face(noisy, _hamming(2))
+    assert np.array_equal(plan, np.diag([0.5, 0.5]))
+    assert np.array_equal(face, np.eye(2, dtype=bool))
+    # every zero-cost cell of this pair is used by some optimal plan,
+    # though a vertex uses only three of them
+    quarter = np.array([0.25, 0.25, 0.5])
+    costs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    _, face = optimal_face(np.diag(quarter), costs)
+    assert np.array_equal(face, costs == 0.0)
 
 
 def test_monotone_identity_map():
