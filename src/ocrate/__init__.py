@@ -45,7 +45,6 @@ from .region import (
     i0_solver,
     mmi_constrained_output,
     region_membership,
-    synthesis_inner_min_sum_rate_bsc,
     wyner_bsc,
 )
 from .codesim import (

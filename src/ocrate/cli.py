@@ -30,7 +30,6 @@ from .region import (
     gaussian_mmi,
     i0_solver,
     mmi_constrained_output,
-    synthesis_inner_min_sum_rate_bsc,
     wyner_bsc,
 )
 
@@ -268,10 +267,6 @@ def _cmd_c0(args) -> int:
     return _scalar_d_command(args, c0_bsc)
 
 
-def _cmd_synthesis_bsc(args) -> int:
-    return _scalar_d_command(args, synthesis_inner_min_sum_rate_bsc)
-
-
 def _cmd_i0(args) -> int:
     cfg = _load_config(args.config,
                        {"mu", "psi", "rho", "d", "restarts", "seed"},
@@ -411,7 +406,8 @@ def _build_parser() -> _Parser:
         "JSON minimum rate under a deterministic decoder")
     add("empirical", _cmd_empirical,
         "JSON minimum rate under the empirical-histogram constraint")
-    add("synthesis-bsc", _cmd_synthesis_bsc,
+    # the synthesis sum-rate floor of the binary symmetric pair is c0
+    add("synthesis-bsc", _cmd_c0,
         "JSON minimum synthesis sum rate for the binary symmetric pair",
         [fl_d])
     add("simulate", _cmd_simulate,

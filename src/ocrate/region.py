@@ -29,7 +29,6 @@ a +inf value flowing through the data structures, not as an exception.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +58,6 @@ _SCALING_SWEEPS = 100_000
 
 # interval width for bisection on monotone brackets
 BISECT_TOL = 1e-10
-
-_LOG_FLOOR = 1e-300
 
 
 class ConstraintViolation(ValueError):
@@ -238,6 +235,30 @@ def _sinkhorn(log_k: np.ndarray, mu: np.ndarray, psi: np.ndarray,
                        f"{_SCALING_SWEEPS} sweeps (row error {err:.1e})")
 
 
+def _embed(table_s: np.ndarray, su: np.ndarray, sv: np.ndarray,
+           shape: tuple[int, int]) -> np.ndarray:
+    full = np.zeros(shape)
+    full[np.ix_(su, sv)] = table_s
+    return full
+
+
+def _min_cost_coupling(mu: Pmf, psi: Pmf, rho: DistortionMatrix,
+                       ) -> tuple[Coupling, np.ndarray]:
+    """A minimum-cost coupling of (mu, psi) and the mask, over the joint
+    support, of the cells that some minimum-cost coupling uses.
+
+    The solve_ot plan can carry traces of mass on other cells when a
+    symbol is lighter than the HiGHS tolerance; transport.optimal_face
+    moves them onto the face first.
+    """
+    su, sv = mu.support(), psi.support()
+    rho_s = rho.costs[np.ix_(su, sv)]
+    plan = solve_ot(TransportProblem(mu, psi, rho.costs)).table
+    plan_s, face = optimal_face(plan[np.ix_(su, sv)], rho_s)
+    return (Coupling(_embed(plan_s, su, sv, rho.shape),
+                     float((plan_s * rho_s).sum())), face)
+
+
 def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
                            ) -> tuple[float, Coupling | None]:
     """Minimum I(X;Y) in bits over couplings of (mu, psi) with expected
@@ -272,6 +293,11 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     if math.isnan(d) or d < 0.0:
         raise DomainError("distortion budget must be >= 0")
 
+    base, face = _min_cost_coupling(mu, psi, rho)
+    low = base.cost
+    if low > d + COST_SLACK:
+        return INF, None
+
     # work on the joint support; massless symbols carry no information
     su = mu.support()
     sv = psi.support()
@@ -280,24 +306,12 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     rho_s = rho.costs[np.ix_(su, sv)]
     ref = np.outer(mu_s, psi_s)
 
-    base, face = optimal_face(
-        solve_ot(TransportProblem(mu, psi, rho.costs)).table[np.ix_(su, sv)],
-        rho_s)
-    low = float((base * rho_s).sum())
-    if low > d + COST_SLACK:
-        return INF, None
-
-    def embed(table_s: np.ndarray, cost: float) -> Coupling:
-        full = np.zeros(rho.shape)
-        full[np.ix_(su, sv)] = table_s
-        return Coupling(full, cost)
-
     ind_cost = float((ref * rho_s).sum())
     # a budget computed as mu @ rho @ psi can land a few ulps below this
     # sum of the same numbers
     if ind_cost <= d + 4.0 * np.spacing(ind_cost):
         # the independent coupling is feasible and has zero information
-        return 0.0, embed(ref, ind_cost)
+        return 0.0, Coupling(_embed(ref, su, sv, rho.shape), ind_cost)
 
     log_ref = np.log(ref)
     if d <= low + COST_SLACK:
@@ -333,7 +347,8 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     if value - dual > MMI_GAP_TOL:
         raise RuntimeError(f"information {value!r} is not certified: the "
                            f"dual bound is {dual!r}")
-    return value, embed(witness, float((witness * rho_s).sum()))
+    return value, Coupling(_embed(witness, su, sv, rho.shape),
+                           float((witness * rho_s).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +371,6 @@ def c0_bsc(d: float) -> float:
     if not 0.0 <= d <= 0.5:
         raise DomainError("distortion must lie in [0, 1/2]")
     return wyner_bsc(d)
-
-
-def synthesis_inner_min_sum_rate_bsc(d: float) -> float:
-    """Sum-rate floor of the coordination/synthesis inner region for the
-    uniform binary pair at Hamming distortion d."""
-    return c0_bsc(d)
 
 
 def _bsc_split(d: float, rc: float) -> tuple[float, float]:
@@ -491,158 +500,87 @@ def empirical_region_min_rate(mu: Pmf, psi: Pmf, rho: DistortionMatrix,
 # ---------------------------------------------------------------------------
 # no-shared-randomness solver: min max(I(X;U), I(Y;U))
 
+# a triple is accepted up to this much over the budget, relative to
+# max(1, rho_max)
+I0_COST_SLACK = 1e-6
 
-def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+# table entries and index atoms lighter than this count as empty in the
+# information and distortion terms; it bounds their gradients, which
+# keeps the SLSQP subproblems well scaled
+_TABLE_FLOOR = 1e-12
 
 
-class _MaxInfoProgram:
-    """Smooth surrogate of max(I(X;U), I(Y;U)) over logit coordinates,
-    with quadratic marginal/distortion penalties and hand gradients.
+def _i0_constraints(mu: np.ndarray, psi: np.ndarray, rho: np.ndarray,
+                    d: float, m_u: int) -> list[dict]:
+    """SLSQP constraints of min t over z = (jx, jy, t), where
+    jx[u, x] = P(u) a(x|u) and jy[u, y] = P(u) b(y|u) are flattened.
 
-    Works in nats internally; callers convert to bits at the end.
+    Equalities (linear): jx meets mu, jy meets psi but for its last
+    symbol (implied by the rest; SLSQP needs full row rank), and
+    jx.sum(1) == jy.sum(1). Inequalities, in nats: t >= I(X;U),
+    t >= I(Y;U), and d >= sum_u jx[u] rho jy[u]^T / P(u) with
+    P(u) = jx.sum(1).
     """
+    nx, ny = mu.size, psi.size
+    cut = m_u * nx
+    size = cut + m_u * ny + 1
 
-    def __init__(self, mu: np.ndarray, psi: np.ndarray, rho: np.ndarray,
-                 d: float, m_u: int, tau: float = 1e-2):
-        self.mu = mu
-        self.psi = psi
-        self.rho = rho
-        self.d = d
-        self.m_u = m_u
-        self.nx = mu.size
-        self.ny = psi.size
-        self.tau = tau
-        self.sizes = (m_u, m_u * self.nx, m_u * self.ny)
+    def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return z[:cut].reshape(m_u, nx), z[cut:-1].reshape(m_u, ny)
 
-    def unpack(self, theta: np.ndarray):
-        i1 = self.sizes[0]
-        i2 = i1 + self.sizes[1]
-        s = _softmax(theta[:i1])
-        a = _softmax(theta[i1:i2].reshape(self.m_u, self.nx))
-        b = _softmax(theta[i2:].reshape(self.m_u, self.ny))
-        return s, a, b
+    a_eq = np.zeros((nx + ny - 1 + m_u, size))
+    a_eq[:nx, :cut] = np.tile(np.eye(nx), m_u)
+    a_eq[nx:nx + ny - 1, cut:-1] = np.tile(np.eye(ny)[:-1], m_u)
+    a_eq[nx + ny - 1:, :cut] = np.kron(np.eye(m_u), np.ones(nx))
+    a_eq[nx + ny - 1:, cut:-1] = -np.kron(np.eye(m_u), np.ones(ny))
+    b_eq = np.concatenate([mu, psi[:-1], np.zeros(m_u)])
 
-    @staticmethod
-    def _chain(probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        # softmax backward for one distribution per row
-        inner = (grad * probs).sum(axis=-1, keepdims=True)
-        return probs * (grad - inner)
+    def log_ratio(j: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+        # with the marginal held fixed, sum j log(j / (P_U x marginal))
+        # is convex in j, and this is its gradient
+        pu = j.sum(axis=1, keepdims=True)
+        return np.log(np.maximum(j, _TABLE_FLOOR)
+                      / np.maximum(pu * marginal, _TABLE_FLOOR))
 
-    def _parts(self, theta: np.ndarray):
-        s, a, b = self.unpack(theta)
-        px = s @ a
-        py = s @ b
-        la = np.log(np.maximum(a, _LOG_FLOOR))
-        lb = np.log(np.maximum(b, _LOG_FLOOR))
-        lpx = np.log(np.maximum(px, _LOG_FLOOR))
-        lpy = np.log(np.maximum(py, _LOG_FLOOR))
-        ixu = float(np.einsum("u,ux,ux->", s, a, la - lpx[None, :]))
-        iyu = float(np.einsum("u,uy,uy->", s, b, lb - lpy[None, :]))
-        rb = b @ self.rho.T            # rb[u, x] = sum_y rho[x, y] b[u, y]
-        e_per_u = np.einsum("ux,ux->u", a, rb)
-        e = float(s @ e_per_u)
-        return s, a, b, px, py, la, lb, lpx, lpy, ixu, iyu, rb, e_per_u, e
+    def distortion_parts(z: np.ndarray):
+        # per_atom[u] = jx[u] rho jy[u]^T / P(u); the distortion is its sum
+        jx, jy = split(z)
+        pu = np.maximum(jx.sum(axis=1, keepdims=True), _TABLE_FLOOR)
+        rho_jy = jy @ rho.T
+        per_atom = (jx * rho_jy).sum(axis=1, keepdims=True) / pu
+        return jx, jy, pu, rho_jy, per_atom
 
-    def value_and_grad(self, theta: np.ndarray, lam: float):
-        (s, a, b, px, py, la, lb, lpx, lpy,
-         ixu, iyu, rb, e_per_u, e) = self._parts(theta)
+    def ineq(z: np.ndarray) -> np.ndarray:
+        jx, jy, _, _, per_atom = distortion_parts(z)
+        return np.array([z[-1] - float((jx * log_ratio(jx, mu)).sum()),
+                         z[-1] - float((jy * log_ratio(jy, psi)).sum()),
+                         d - float(per_atom.sum())])
 
-        z = (ixu - iyu) / self.tau
-        w1 = 1.0 / (1.0 + np.exp(-z)) if z < 40 else 1.0
-        if z < -40:
-            w1 = 0.0
-        w2 = 1.0 - w1
-        smooth = self.tau * (np.logaddexp(ixu / self.tau, iyu / self.tau))
+    def ineq_jac(z: np.ndarray) -> np.ndarray:
+        jx, jy, pu, rho_jy, per_atom = distortion_parts(z)
+        jac = np.zeros((3, size))
+        jac[:2, -1] = 1.0
+        jac[0, :cut] = -log_ratio(jx, mu).ravel()
+        jac[1, cut:-1] = -log_ratio(jy, psi).ravel()
+        jac[2, :cut] = -((rho_jy - per_atom) / pu).ravel()
+        jac[2, cut:-1] = -((jx @ rho) / pu).ravel()
+        return jac
 
-        gx = px - self.mu
-        gy = py - self.psi
-        ge = max(e - self.d, 0.0)
-        value = smooth + lam * (gx @ gx + gy @ gy + ge * ge)
-
-        # gradients with respect to raw probabilities
-        ds = (w1 * np.einsum("ux,ux->u", a, la - lpx[None, :])
-              + w2 * np.einsum("uy,uy->u", b, lb - lpy[None, :])
-              + lam * (2.0 * (a @ gx) + 2.0 * (b @ gy)
-                       + 2.0 * ge * e_per_u))
-        da = (w1 * s[:, None] * (la - lpx[None, :])
-              + lam * (2.0 * s[:, None] * gx[None, :]
-                       + 2.0 * ge * s[:, None] * rb))
-        ra = a @ self.rho               # ra[u, y] = sum_x a[u, x] rho[x, y]
-        db = (w2 * s[:, None] * (lb - lpy[None, :])
-              + lam * (2.0 * s[:, None] * gy[None, :]
-                       + 2.0 * ge * s[:, None] * ra))
-
-        grad = np.concatenate([
-            self._chain(s, ds),
-            self._chain(a, da).ravel(),
-            self._chain(b, db).ravel(),
-        ])
-        return value, grad
-
-    # exact constraint values and jacobians for the polish stage
-
-    def marginal_residual(self, theta: np.ndarray) -> np.ndarray:
-        # last component of each block is dropped: the rows of a pmf
-        # difference sum to zero, and redundant equality rows make the
-        # SLSQP least-squares subproblem singular
-        s, a, b = self.unpack(theta)
-        return np.concatenate([(s @ a - self.mu)[:-1],
-                               (s @ b - self.psi)[:-1]])
-
-    def marginal_jacobian(self, theta: np.ndarray) -> np.ndarray:
-        s, a, b = self.unpack(theta)
-        n_theta = theta.size
-        rows = np.zeros((self.nx + self.ny - 2, n_theta))
-        i1 = self.sizes[0]
-        i2 = i1 + self.sizes[1]
-        for x in range(self.nx - 1):
-            gs = a[:, x]
-            rows[x, :i1] = self._chain(s, gs)
-            ga = np.zeros_like(a)
-            ga[:, x] = s
-            rows[x, i1:i2] = self._chain(a, ga).ravel()
-        for y in range(self.ny - 1):
-            gs = b[:, y]
-            rows[self.nx - 1 + y, :i1] = self._chain(s, gs)
-            gb = np.zeros_like(b)
-            gb[:, y] = s
-            rows[self.nx - 1 + y, i2:] = self._chain(b, gb).ravel()
-        return rows
-
-    def distortion_slack(self, theta: np.ndarray) -> float:
-        s, a, b = self.unpack(theta)
-        return self.d - float(np.einsum("u,ux,xy,uy->", s, a, self.rho, b))
-
-    def distortion_slack_jacobian(self, theta: np.ndarray) -> np.ndarray:
-        s, a, b = self.unpack(theta)
-        rb = b @ self.rho.T
-        ra = a @ self.rho
-        e_per_u = np.einsum("ux,ux->u", a, rb)
-        ds = -e_per_u
-        da = -s[:, None] * rb
-        db = -s[:, None] * ra
-        return np.concatenate([
-            self._chain(s, ds),
-            self._chain(a, da).ravel(),
-            self._chain(b, db).ravel(),
-        ])
+    return [{"type": "eq", "fun": lambda z: a_eq @ z - b_eq,
+             "jac": lambda z: a_eq},
+            {"type": "ineq", "fun": ineq, "jac": ineq_jac}]
 
 
 def _repair_triple(s: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   mu: Pmf, psi: Pmf, rho: DistortionMatrix) -> MarkovTriple:
+                   mu: Pmf, psi: Pmf) -> MarkovTriple:
     """Compose each conditional with a transport channel so the induced
-    marginals hit (mu, psi) exactly; information can only shrink."""
-
-    def side_cost(size: int) -> np.ndarray:
-        return rho.costs if rho.costs.shape == (size, size) \
-            else 1.0 - np.eye(size)
+    marginals hit (mu, psi) exactly; information can only shrink. The
+    channels move as little mass as they can (cost 1 - I), so a triple
+    that already meets its marginals comes back unchanged."""
 
     def correction(induced: np.ndarray, target: Pmf) -> np.ndarray:
         plan = solve_ot(TransportProblem(Pmf(induced), target,
-                                         side_cost(target.size)))
+                                         1.0 - np.eye(target.size)))
         return plan.conditional_rows()
 
     a2 = a @ correction(s @ a, mu)
@@ -650,22 +588,23 @@ def _repair_triple(s: np.ndarray, a: np.ndarray, b: np.ndarray,
     return MarkovTriple(Pmf(s), Channel(a2), Channel(b2))
 
 
+def _rows(joint: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Conditional rows of a table; massless rows fall back."""
+    mass = joint.sum(axis=1, keepdims=True)
+    return np.where(mass > 0.0, joint / np.where(mass > 0.0, mass, 1.0),
+                    fallback)
+
+
 def _anchor_triples(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
                     base: Coupling) -> list[MarkovTriple]:
-    """Deterministic feasible warm starts: U = Y and U = X readings of
+    """Deterministic feasible candidates: U = Y and U = X readings of
     the minimum-cost coupling, plus the independent triple if it fits."""
-    anchors = []
     table = base.table
-    py = table.sum(axis=0)
-    rows = np.array([table[:, y] / py[y] if py[y] > 0
-                     else mu.probs for y in range(psi.size)])
-    anchors.append(MarkovTriple(Pmf(py), Channel(rows),
-                                Channel(np.eye(psi.size))))
-    px = table.sum(axis=1)
-    cols = np.array([table[x, :] / px[x] if px[x] > 0
-                     else psi.probs for x in range(mu.size)])
-    anchors.append(MarkovTriple(Pmf(px), Channel(np.eye(mu.size)),
-                                Channel(cols)))
+    anchors = [MarkovTriple(Pmf(table.sum(axis=0)),
+                            Channel(_rows(table.T, mu.probs)),
+                            Channel(np.eye(psi.size))),
+               MarkovTriple(Pmf(table.sum(axis=1)), Channel(np.eye(mu.size)),
+                            Channel(_rows(table, psi.probs)))]
     ind_cost = float((np.outer(mu.probs, psi.probs) * rho.costs).sum())
     if ind_cost <= d:
         anchors.append(MarkovTriple(Pmf(np.ones(1)),
@@ -676,30 +615,36 @@ def _anchor_triples(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
 
 def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
               restarts: int = 64, seed: int = 0,
-              dist_tol: float | None = None,
               ) -> tuple[float, MarkovTriple | None]:
     """Upper bound on the no-shared-randomness rate
     min max(I(X;U), I(Y;U)) over conditional-independence couplings of
     (mu, psi) with expected distortion at most d.
 
-    The program is nonconvex, so this is a multi-start local method:
-    each restart draws flat-Dirichlet logits for (weights, X-channel,
-    Y-channel) at index cardinality |X| + |Y| + 1, runs alternating
-    block descent on a smoothed-max objective with quadratic
-    marginal-matching penalties, then polishes with an SLSQP pass that
-    enforces the marginal equalities and the distortion budget
-    directly. A final transport composition snaps the marginals onto
-    (mu, psi) exactly (data processing: the snap cannot raise either
-    information term) and the triple is accepted if its exact
-    distortion is within dist_tol of the budget
-    (default 1e-6 * max(1, rho_max)).
+    Each restart is one SLSQP run of min t subject to t >= I(X;U),
+    t >= I(Y;U) and E[rho] <= d, over the joint tables
+    jx[u, x] = P(u) a(x|u) and jy[u, y] = P(u) b(y|u) and t. The
+    marginals and the common index law jx.sum(1) == jy.sum(1) are
+    linear equalities. With the marginals held, both informations are
+    convex in these tables, with gradients log(j / (P_U x marginal));
+    only the distortion sum_u jx[u] rho jy[u]^T / P(u) is not convex,
+    so the program is nonconvex and the method is a multi-start local
+    one. Restart k starts from one Dirichlet draw of (weights, a, b)
+    seeded by SeedSequence([seed, k]), and the restarts cycle through
+    the index cardinalities 2 .. |X| + |Y| + 1: good optima often live
+    on few atoms.
 
-    Two deterministic warm starts (U = Y and U = X readings of the
-    minimum-cost coupling) are always evaluated as well, so a feasible
-    problem always yields a triple. The reported value is the exact
-    max-information of the best accepted triple: a certified upper
-    bound, not a certified optimum. Returns (inf, None) when no
-    coupling meets the budget.
+    A solution whose marginals are within 1e-4 of (mu, psi) is snapped
+    onto them exactly by a transport composition (data processing: the
+    snap cannot raise either information term) and accepted if its
+    exact distortion is within I0_COST_SLACK * max(1, rho_max) of d.
+
+    The U = Y and U = X readings of the minimum-cost coupling, and the
+    independent triple if it fits, are always evaluated first, so a
+    feasible problem always yields a triple; if one of them has 0 bits
+    no restart can beat it and the solver returns at once. The reported
+    value is the exact max-information of the best accepted triple: a
+    certified upper bound, not a certified optimum. Returns (inf, None)
+    when no coupling meets the budget.
     """
     if rho.shape != (mu.size, psi.size):
         raise ValueError("distortion matrix shape does not match marginals")
@@ -708,26 +653,17 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     if restarts < 1:
         raise ValueError("need at least one restart")
 
-    base = solve_ot(TransportProblem(mu, psi, rho.costs))
+    base, _ = _min_cost_coupling(mu, psi, rho)
     if base.cost > d + COST_SLACK:
         return INF, None
 
-    if dist_tol is None:
-        dist_tol = 1e-6 * max(1.0, rho.max_cost)
-
-    m_max = mu.size + psi.size + 1
-    # good optima often live on few index atoms and the softmax
-    # parametrization is slow to empty spare ones, so restarts cycle
-    # through every cardinality from 2 up to the bound
-    programs = {m: _MaxInfoProgram(mu.probs, psi.probs, rho.costs, d, m)
-                for m in range(2, m_max + 1)}
-
+    cost_cap = d + I0_COST_SLACK * max(1.0, rho.max_cost)
     best_value = INF
     best_triple = None
 
     def consider(triple: MarkovTriple):
         nonlocal best_value, best_triple
-        if triple.expected_distortion(rho) > d + dist_tol:
+        if triple.expected_distortion(rho) > cost_cap:
             return
         value = max(triple.information_x(), triple.information_y())
         if value < best_value:
@@ -736,65 +672,40 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
 
     for anchor in _anchor_triples(mu, psi, rho, d, base):
         consider(anchor)
+    if best_value == 0.0:
+        return best_value, best_triple
 
+    m_max = mu.size + psi.size + 1
+    constraints = {m: _i0_constraints(mu.probs, psi.probs, rho.costs, d, m)
+                   for m in range(2, m_max + 1)}
     for restart in range(restarts):
         m_u = 2 + restart % (m_max - 1)
-        program = programs[m_u]
-        n_theta = sum(program.sizes)
-        bounds = [(-40.0, 40.0)] * n_theta
-        i1, i2 = program.sizes[0], program.sizes[0] + program.sizes[1]
-        blocks = [np.arange(0, i1), np.arange(i1, i2),
-                  np.arange(i2, n_theta)]
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=[int(seed), restart]))
-        theta = np.concatenate([
-            np.log(rng.dirichlet(np.ones(m_u)) + 1e-12),
-            np.log(rng.dirichlet(np.ones(mu.size), size=m_u) + 1e-12).ravel(),
-            np.log(rng.dirichlet(np.ones(psi.size), size=m_u) + 1e-12).ravel(),
-        ])
-
-        for lam in (1e2, 1e4):
-            for _ in range(2):
-                for idx in blocks:
-                    def block_obj(part, idx=idx, lam=lam):
-                        full = theta.copy()
-                        full[idx] = part
-                        v, g = program.value_and_grad(full, lam)
-                        return v, g[idx]
-
-                    res = minimize(block_obj, theta[idx], jac=True,
-                                   method="L-BFGS-B",
-                                   bounds=[(-40.0, 40.0)] * idx.size,
-                                   options={"maxiter": 40})
-                    theta[idx] = res.x
-
-        with warnings.catch_warnings():
-            # the logit box is a soft guard; clipping onto it is fine
-            warnings.filterwarnings("ignore", message=".*outside bounds.*",
-                                    category=RuntimeWarning)
-            res = minimize(
-                lambda th: program.value_and_grad(th, 0.0), theta, jac=True,
-                method="SLSQP", bounds=bounds,
-                constraints=[
-                    {"type": "eq", "fun": program.marginal_residual,
-                     "jac": program.marginal_jacobian},
-                    {"type": "ineq", "fun": program.distortion_slack,
-                     "jac": lambda th: program.distortion_slack_jacobian(th)[None, :]},
-                ],
-                options={"maxiter": 120, "ftol": 1e-12},
-            )
-        # polish output first, penalty-stage point as fallback; both are
-        # cheap to score and SLSQP sometimes reports failure after
-        # genuine progress
-        for theta_cand in (res.x, theta):
-            s, a, b = program.unpack(theta_cand)
-            if np.max(np.abs(np.concatenate(
-                    [s @ a - mu.probs, s @ b - psi.probs]))) > 1e-4:
-                continue
-            try:
-                consider(_repair_triple(s, a, b, mu, psi, rho))
-            except (ValueError, RuntimeError):
-                continue
+        weights = rng.dirichlet(np.ones(m_u))[:, None]
+        jx = weights * rng.dirichlet(np.ones(mu.size), size=m_u)
+        jy = weights * rng.dirichlet(np.ones(psi.size), size=m_u)
+        start = np.concatenate([jx.ravel(), jy.ravel(), [0.0]])
+        # t starts at max(I(X;U), I(Y;U)), read off the t >= I rows
+        start[-1] = -min(constraints[m_u][1]["fun"](start)[:2])
+        grad_t = np.zeros(start.size)
+        grad_t[-1] = 1.0
+        res = minimize(lambda z: z[-1], start, jac=lambda z: grad_t,
+                       method="SLSQP", constraints=constraints[m_u],
+                       bounds=[(0.0, 1.0)] * (start.size - 1) + [(0.0, None)],
+                       options={"maxiter": 200, "ftol": 1e-12})
+        cut = m_u * mu.size
+        jx = np.clip(res.x[:cut].reshape(m_u, mu.size), 0.0, None)
+        jy = np.clip(res.x[cut:-1].reshape(m_u, psi.size), 0.0, None)
+        s = jx.sum(axis=1) / jx.sum()
+        a, b = _rows(jx, mu.probs), _rows(jy, psi.probs)
+        if np.max(np.abs(np.concatenate(
+                [s @ a - mu.probs, s @ b - psi.probs]))) > 1e-4:
+            continue
+        try:
+            consider(_repair_triple(s, a, b, mu, psi))
+        except (ValueError, RuntimeError):
+            continue
 
     return best_value, best_triple
 

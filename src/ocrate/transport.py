@@ -81,8 +81,10 @@ def _transport_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarr
     for j in range(n - 1):
         a_eq[m + j, j::n] = 1.0
     b_eq = np.concatenate([mu, nu[:-1]])
+    # HiGHS presolve calls some feasible problems with symbols lighter
+    # than about 1e-8 infeasible
     res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds")
+                  method="highs-ds", options={"presolve": False})
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = np.clip(res.x.reshape(m, n), 0.0, None)

@@ -162,6 +162,22 @@ def test_mmi_config_validation(tmp_path):
     assert run_cli("mmi").returncode == 1
 
 
+def test_mmi_with_symbols_lighter_than_the_lp_tolerance(tmp_path):
+    # HiGHS presolve called this transport problem infeasible, and the
+    # RuntimeError ended the command in a traceback
+    cfg = write_config(tmp_path, {
+        "mu": [0.9999998991202488, 3.114955993789507e-08,
+               6.973019128130105e-08],
+        "psi": [4.129578451052156e-25, 0.9999999999993511,
+                6.48925357893404e-13],
+        "rho": [[0.965, 0.023, 0.526], [0.906, 0.03, 0.609],
+                [0.642, 0.98, 0.858]],
+        "d": 0.9})
+    proc = run_cli("mmi", "--config", cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
 def test_i0_reaches_known_value(tmp_path):
     cfg = write_config(tmp_path, {"mu": [0.5, 0.5], "psi": [0.5, 0.5],
                                   "rho": HAMMING_ROWS, "d": 0.25,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocrate import (
     Channel,
@@ -27,10 +28,9 @@ from ocrate import (
     mmi_constrained_output,
     mutual_information,
     region_membership,
-    synthesis_inner_min_sum_rate_bsc,
     wyner_bsc,
 )
-from ocrate.region import _MaxInfoProgram
+from ocrate.region import _i0_constraints, _repair_triple
 from ocrate.transport import TransportProblem, solve_ot
 from oracles import (grid_mmi_3x3, mmi_dual_lower_bound,
                      ot_vertex_enumeration, random_mmi_instance)
@@ -194,8 +194,6 @@ def test_wyner_values():
 def test_c0_equals_wyner_at_matching_crossover():
     for d in (0.0, 0.1, 0.25, 0.4, 0.5):
         assert c0_bsc(d) == pytest.approx(wyner_bsc(d), abs=1e-12)
-        assert synthesis_inner_min_sum_rate_bsc(d) == pytest.approx(
-            c0_bsc(d), abs=1e-15)
 
 
 def test_bsc_boundary_quarter():
@@ -339,39 +337,34 @@ def test_empirical_rate_ignores_shared_randomness():
 
 
 def test_i0_gradient_is_exact():
+    # every constraint Jacobian of the SLSQP program against central
+    # differences at an interior point
     rng = np.random.default_rng(5)
     mu = rng.dirichlet(np.ones(2))
-    psi = rng.dirichlet(np.ones(2))
-    rho = HAMMING2.costs
-    prog = _MaxInfoProgram(mu, psi, rho, 0.25, 3)
-    n = sum(prog.sizes)
-    theta = rng.normal(size=n)
-    for lam in (0.0, 1e2):
-        _, grad = prog.value_and_grad(theta, lam)
-        fd = np.zeros(n)
-        for i in range(n):
-            e = np.zeros(n)
+    psi = rng.dirichlet(np.ones(3))
+    rho = rng.random((2, 3))
+    m_u = 3
+    z = np.concatenate([(rng.dirichlet(np.ones(m_u))[:, None]
+                         * rng.dirichlet(np.ones(n), size=m_u)).ravel()
+                        for n in (2, 3)] + [[0.4]])
+    for con in _i0_constraints(mu, psi, rho, 0.3, m_u):
+        jac = np.atleast_2d(con["jac"](z))
+        fd = np.zeros_like(jac)
+        for i in range(z.size):
+            e = np.zeros(z.size)
             e[i] = 1e-6
-            vp, _ = prog.value_and_grad(theta + e, lam)
-            vm, _ = prog.value_and_grad(theta - e, lam)
-            fd[i] = (vp - vm) / 2e-6
-        assert np.max(np.abs(grad - fd)) < 1e-6
-    jac = prog.marginal_jacobian(theta)
-    fd = np.zeros_like(jac)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1e-6
-        fd[:, i] = (prog.marginal_residual(theta + e)
-                    - prog.marginal_residual(theta - e)) / 2e-6
-    assert np.max(np.abs(jac - fd)) < 1e-6
-    js = prog.distortion_slack_jacobian(theta)
-    fd = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1e-6
-        fd[i] = (prog.distortion_slack(theta + e)
-                 - prog.distortion_slack(theta - e)) / 2e-6
-    assert np.max(np.abs(js - fd)) < 1e-6
+            fd[:, i] = (con["fun"](z + e) - con["fun"](z - e)) / 2e-6
+        assert np.max(np.abs(jac - fd)) < 1e-6
+
+
+def test_i0_meets_the_binary_closed_form_at_two_restarts():
+    for d in (0.05, 0.1, 0.155, 0.2, 0.3, 0.4):
+        a_star = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * d))
+        for seed in range(6):
+            value, _ = i0_solver(BERN_HALF, BERN_HALF, HAMMING2, d,
+                                 restarts=2, seed=seed)
+            assert value == pytest.approx(1.0 - binary_entropy(a_star),
+                                          abs=1e-6), (d, seed)
 
 
 def test_i0_binary_anchors():
@@ -407,6 +400,81 @@ def test_i0_symmetric_in_the_two_marginals():
     v_ab, _ = i0_solver(mu, psi, HAMMING2, 0.2, restarts=16, seed=1)
     v_ba, _ = i0_solver(psi, mu, HAMMING2, 0.2, restarts=16, seed=1)
     assert abs(v_ab - v_ba) <= 2e-3
+
+
+def test_i0_repair_moves_least_mass():
+    """The marginal snap moves as little mass as it can. Transporting
+    under rho within one alphabet moved channel rows by up to 0.44 here
+    and lifted good triples over the budget (0.753 bits)."""
+    mu = Pmf(np.array([0.38, 0.25, 0.37]))
+    psi = Pmf(np.array([0.50, 0.30, 0.20]))
+    rho = DistortionMatrix(np.array([[0.28, 0.80, 0.87],
+                                     [0.30, 0.53, 0.07],
+                                     [0.58, 0.24, 0.76]]))
+    value, _ = i0_solver(mu, psi, rho, 0.45, restarts=8, seed=0)
+    assert value <= 0.137
+    s = np.array([0.5, 0.5])
+    a = np.array([[0.56, 0.30, 0.14], [0.20, 0.20, 0.60]])
+    b = np.array([[0.70, 0.10, 0.20], [0.30, 0.50, 0.20]])
+    triple = _repair_triple(s, a, b, Pmf(s @ a), Pmf(s @ b))
+    assert np.array_equal(triple.x_given_u.rows, a)
+    assert np.array_equal(triple.y_given_u.rows, b)
+
+
+def test_i0_feasible_at_transport_minimum_with_light_symbols():
+    # the raw transport plan sits above the minimum cost here, so an
+    # infeasibility test on it calls a budget that mmi meets infeasible
+    mu = np.array([8.316956818547049e-08, 9.997675378033781e-01,
+                   2.323790270538296e-04])
+    psi = np.array([6.7076257470616678e-05, 9.9626437656545819e-01,
+                    3.6685471770711168e-03])
+    rho = np.array([[0.8112893659456705, 0.928269767623671,
+                     0.2729789320618622],
+                    [0.8318020084065566, 0.2020735719627883,
+                     0.8065176997200992],
+                    [0.7541268706737116, 0.38546078918486215,
+                     0.626111535026689]])
+    d = ot_vertex_enumeration(mu, psi, rho)
+    problem = (Pmf(mu), Pmf(psi), DistortionMatrix(rho), d)
+    low, _ = mmi_constrained_output(*problem)
+    value, _ = i0_solver(*problem, restarts=8)
+    assert math.isfinite(value)
+    assert value >= low - 1e-9
+
+
+@st.composite
+def _i0_instances(draw):
+    def weights(n):
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=n,
+                                   max_size=n)), dtype=float)
+        return w / w.sum()
+
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    mu, psi = weights(nx), weights(ny)
+    rho = np.array(draw(st.lists(st.integers(1, 9), min_size=nx * ny,
+                                 max_size=nx * ny)),
+                   dtype=float).reshape(nx, ny) / 9.0
+    low = solve_ot(TransportProblem(Pmf(mu), Pmf(psi), rho)).cost
+    high = float(mu @ rho @ psi)
+    frac = draw(st.floats(0.0, 1.2))
+    return mu, psi, rho, low + frac * (high - low)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_i0_instances())
+def test_i0_witness_backs_the_value(instance):
+    mu, psi, rho, d = instance
+    dist = DistortionMatrix(rho)
+    value, triple = i0_solver(Pmf(mu), Pmf(psi), dist, d, restarts=4)
+    assert np.max(np.abs(triple.induced_x().probs - mu)) <= 1e-9
+    assert np.max(np.abs(triple.induced_y().probs - psi)) <= 1e-9
+    cost = triple.expected_distortion(dist)
+    assert cost <= d + 1e-6
+    assert value == max(triple.information_x(), triple.information_y())
+    # data processing: I(X;U) >= I(X;Y) >= min information at that
+    # cost; a short dual search still gives a lower bound on the latter
+    floor = mmi_dual_lower_bound(mu, psi, rho, cost, sweeps=200, steps=30)
+    assert value >= floor - 1e-9
 
 
 def test_i0_infeasible():
