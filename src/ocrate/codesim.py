@@ -15,8 +15,10 @@ bounded by the coupling cost.
 Two modes:
 
 * exact: every block law is enumerated (caps: |X|^n and |Y|^n at most
-  1e7 blocks, at most 2^24 codewords, and at most 1e7 cells per
-  enumeration tensor). Output-law total variation, the idealized
+  1e7 blocks, at most 2^24 codewords, at most 1e7 cells per
+  enumeration tensor, and with correction at most 2^20 cells in the
+  |Y|^n x |Y|^n correction plan, so binary n <= 10 and ternary
+  n <= 6). Output-law total variation, the idealized
   mixture law, and all mean distortions are computed exactly; trials
   are draws from the exact conditionals.
 * monte-carlo: beyond the caps. Per-trial sampling only; the output
@@ -52,6 +54,7 @@ from .transport import TransportProblem, solve_ot
 CODEBOOK_CAP = 2 ** 24
 BLOCK_CAP = 10 ** 7
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
+PLAN_CAP = 2 ** 20          # cells of the block-correction plan
 _CHUNK_WORK = 2_000_000
 
 _STREAM_CODEBOOK = 0
@@ -62,6 +65,14 @@ _STREAM_CORRECTION = 2
 def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(
         entropy=[int(seed), int(tag)]))
+
+
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """One index drawn from the weights p; numpy's own algorithm for
+    rng.choice(p.size, p=p), so the same uniform gives the same index,
+    without its argument checks."""
+    cdf = np.cumsum(p)
+    return int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
 
 
 def _ceil_codes(rate_times_n: float) -> int:
@@ -312,7 +323,8 @@ def _choose_mode(cfg: SimConfig, num_j: int, num_k: int) -> str:
             and codes <= CODEBOOK_CAP
             and (nx ** cfg.n) * codes <= WORK_CAP
             and (ny ** cfg.n) * codes <= WORK_CAP
-            and (nx ** cfg.n) * (ny ** cfg.n) <= WORK_CAP)
+            and (nx ** cfg.n) * (ny ** cfg.n) <= WORK_CAP
+            and (not cfg.correction or ny ** (2 * cfg.n) <= PLAN_CAP))
     if cfg.mode == "exact" and not fits:
         raise CapExceeded("exact mode was forced but the run exceeds the caps")
     if cfg.mode == "monte-carlo":
@@ -382,8 +394,7 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     slack = None
     if cfg.correction:
         rho_yy = _block_cost(cfg.rho.costs, yb, yb)
-        plan = solve_ot(TransportProblem(Pmf(out_law), Pmf(psi_n), rho_yy),
-                        cap=max(4096, out_law.size))
+        plan = solve_ot(TransportProblem(Pmf(out_law), Pmf(psi_n), rho_yy))
         ot_cost = plan.cost
         cond = plan.conditional_rows()
         joint_post = joint @ cond
@@ -401,15 +412,15 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     fallbacks = 0
     for t in range(cfg.trials):
         k = int(rng.integers(num_k))
-        x_idx = int(rng.choice(mu_n.size, p=mu_n))
+        x_idx = _draw(rng, mu_n)
         fb = bool(fallback[x_idx, k])
         fallbacks += fb
-        j = int(rng.choice(num_j, p=enc[x_idx, :, k]))
-        y_idx = int(rng.choice(psi_n.size, p=dec[j, k]))
+        j = _draw(rng, enc[x_idx, :, k])
+        y_idx = _draw(rng, dec[j, k])
         rec = TrialRecord(trial=t, k=k, j=j, encoder_fallback=fb,
                           distortion=float(rho_xy[x_idx, y_idx]))
         if cfg.correction:
-            y_hat = int(rng.choice(psi_n.size, p=cond[y_idx]))
+            y_hat = _draw(rng, cond[y_idx])
             rec.add_correction(float(rho_yy[y_idx, y_hat]),
                                float(rho_xy[x_idx, y_hat]), q)
         records.append(rec)

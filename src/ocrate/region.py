@@ -577,15 +577,19 @@ def _repair_triple(s: np.ndarray, a: np.ndarray, b: np.ndarray,
     marginals hit (mu, psi) exactly; information can only shrink. The
     channels move as little mass as they can (cost 1 - I), so a triple
     that already meets its marginals comes back unchanged."""
-
-    def correction(induced: np.ndarray, target: Pmf) -> np.ndarray:
-        plan = solve_ot(TransportProblem(Pmf(induced), target,
-                                         1.0 - np.eye(target.size)))
-        return plan.conditional_rows()
-
-    a2 = a @ correction(s @ a, mu)
-    b2 = b @ correction(s @ b, psi)
+    a2 = a @ _snap_channel(Pmf(s @ a).probs, mu.probs)
+    b2 = b @ _snap_channel(Pmf(s @ b).probs, psi.probs)
     return MarkovTriple(Pmf(s), Channel(a2), Channel(b2))
+
+
+def _snap_channel(induced: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Conditional rows of a least-mass-moved coupling of induced onto
+    target (cost 1 - I, value the total variation). Started from the
+    diagonal plan, repair_marginals moves each symbol's surplus into
+    the deficits and keeps min(induced, target) on the diagonal, which
+    is an optimum; with at most 3 symbols it is the only one. Float
+    noise in marginals that already match moves nothing."""
+    return _rows(repair_marginals(np.diag(induced), induced, target), target)
 
 
 def _rows(joint: np.ndarray, fallback: np.ndarray) -> np.ndarray:

@@ -3,9 +3,13 @@ monotone couplings for quadratic cost.
 
 The discrete solver is exact: it hands the transportation LP to the
 HiGHS dual simplex (a vertex-following method, deterministic for a
-fixed problem), never an entropic approximation. Zero-mass symbols are
-dropped before the solve and reinserted afterwards so degenerate
-marginals are fine.
+fixed problem), never an entropic approximation. The m x n problem's
+equality matrix is built directly in CSC form, two entries per column
+(one for the last target symbol, whose redundant constraint is
+dropped), so the memory it takes grows as m * n, not as (m + n) * m * n;
+HiGHS gets the same matrix it would get from the dense array. Zero-mass
+symbols are dropped before the solve and reinserted afterwards so
+degenerate marginals are fine.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .info import CapExceeded, Pmf
@@ -74,12 +79,18 @@ class Coupling:
 def _transport_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarray:
     m, n = costs.shape
     # row-sum and column-sum constraints; last column constraint is
-    # redundant given the rest and is dropped for rank
-    a_eq = np.zeros((m + n - 1, m * n))
-    for i in range(m):
-        a_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n - 1):
-        a_eq[m + j, j::n] = 1.0
+    # redundant given the rest and is dropped for rank. Column i*n + j
+    # of the CSC matrix holds row i and, when j < n - 1, row m + j, so
+    # column c starts at entry 2c - c // n.
+    rows = np.empty((m, n, 2), dtype=np.int32)
+    rows[:, :, 0] = np.arange(m)[:, None]
+    rows[:, :, 1] = m + np.arange(n)
+    keep = np.ones((m, n, 2), dtype=bool)
+    keep[:, n - 1, 1] = False
+    starts = np.arange(m * n + 1)
+    a_eq = sparse.csc_array(
+        (np.ones(m * (2 * n - 1)), rows[keep], 2 * starts - starts // n),
+        shape=(m + n - 1, m * n))
     b_eq = np.concatenate([mu, nu[:-1]])
     # HiGHS presolve calls some feasible problems with symbols lighter
     # than about 1e-8 infeasible
@@ -131,18 +142,19 @@ def repair_marginals(table: np.ndarray, row_target: np.ndarray,
     return t
 
 
-def solve_ot(problem: TransportProblem, cap: int = OT_SIDE_CAP) -> Coupling:
+def solve_ot(problem: TransportProblem) -> Coupling:
     """Exact minimum-cost coupling of the two marginals.
 
-    Raises CapExceeded when either side is larger than cap (4096 by
-    default). HiGHS meets the marginals only to its own feasibility
+    Raises CapExceeded when either side is larger than OT_SIDE_CAP
+    (4096). HiGHS meets the marginals only to its own feasibility
     tolerance (about 1e-7 on large problems), so the plan is snapped
     onto them with repair_marginals; it then reproduces them to 1e-9.
     """
     mu = problem.source.probs
     nu = problem.target.probs
-    if mu.size > cap or nu.size > cap:
-        raise CapExceeded(f"alphabet sides {mu.size}x{nu.size} exceed cap {cap}")
+    if mu.size > OT_SIDE_CAP or nu.size > OT_SIDE_CAP:
+        raise CapExceeded(f"alphabet sides {mu.size}x{nu.size} "
+                          f"exceed cap {OT_SIDE_CAP}")
     su = np.flatnonzero(mu > 0.0)
     sv = np.flatnonzero(nu > 0.0)
     plan_s = _transport_lp(mu[su], nu[sv], problem.costs[np.ix_(su, sv)])

@@ -286,10 +286,14 @@ def test_simulate_rejects_unknown_field(sim_config):
 
 def test_simulate_cap_exit(sim_config):
     payload, tmp_path = sim_config
-    cfg = write_config(tmp_path, dict(payload, n=24, r=0.25))
     out = tmp_path / "r.json"
-    proc = run_cli("simulate", "--config", cfg, "--out", str(out))
-    assert proc.returncode == 3
+    # n=24 passes no cap; binary n=11 passes every cap but the 2^20
+    # cells of the correction plan
+    for changes in ({"n": 24, "r": 0.25}, {"n": 11, "r": 0.5, "rc": 0.3}):
+        cfg = write_config(tmp_path, dict(payload, **changes))
+        proc = run_cli("simulate", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_unwritable_out_path_is_validation(tmp_path):

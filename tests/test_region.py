@@ -28,9 +28,10 @@ from ocrate import (
     mmi_constrained_output,
     mutual_information,
     region_membership,
+    total_variation,
     wyner_bsc,
 )
-from ocrate.region import _i0_constraints, _repair_triple
+from ocrate.region import _i0_constraints, _repair_triple, _snap_channel
 from ocrate.transport import TransportProblem, solve_ot
 from oracles import (grid_mmi_3x3, mmi_dual_lower_bound,
                      ot_vertex_enumeration, random_mmi_instance)
@@ -440,6 +441,34 @@ def test_i0_feasible_at_transport_minimum_with_light_symbols():
     value, _ = i0_solver(*problem, restarts=8)
     assert math.isfinite(value)
     assert value >= low - 1e-9
+
+
+def test_snap_channel_is_a_least_mass_moved_coupling():
+    rng = np.random.default_rng(11)
+    for size in (2, 3, 4, 6):
+        for _ in range(25):
+            induced = rng.dirichlet(np.ones(size))
+            target = rng.dirichlet(np.ones(size))
+            rows = _snap_channel(induced, target)
+            plan = induced[:, None] * rows
+            assert np.max(np.abs(plan.sum(axis=1) - induced)) <= 1e-12
+            assert np.max(np.abs(plan.sum(axis=0) - target)) <= 1e-12
+            cost = float((plan * (1.0 - np.eye(size))).sum())
+            assert cost == pytest.approx(total_variation(induced, target),
+                                         abs=1e-12)
+            if size <= 3:
+                # the optimum is unique on at most 3 symbols
+                lp = solve_ot(TransportProblem(Pmf(induced), Pmf(target),
+                                               1.0 - np.eye(size)))
+                assert np.allclose(rows, lp.conditional_rows(), atol=1e-9)
+
+
+def test_snap_channel_keeps_matching_marginals():
+    p = np.array([0.2, 0.5, 0.3])
+    assert np.array_equal(_snap_channel(p, p), np.eye(3))
+    # differences at the float-noise level move nothing either
+    assert np.array_equal(_snap_channel(p, p + [1e-16, -1e-16, 0.0]),
+                          np.eye(3))
 
 
 @st.composite

@@ -61,11 +61,15 @@ def test_marginals_and_cost_consistency():
 
 
 def test_matches_vertex_enumeration():
+    # single rows and columns and unequal sides go through the same
+    # sparse constraint matrix as square problems
     rng = np.random.default_rng(1)
-    for trial in range(10):
-        mu = rng.dirichlet(np.ones(3))
-        psi = rng.dirichlet(np.ones(3))
-        costs = rng.uniform(0.0, 1.0, size=(3, 3))
+    shapes = [(3, 3)] * 10 + [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2),
+                              (2, 5), (3, 4), (4, 3)] * 3
+    for trial, (m, n) in enumerate(shapes):
+        mu = rng.dirichlet(np.ones(m))
+        psi = rng.dirichlet(np.ones(n))
+        costs = rng.uniform(0.0, 1.0, size=(m, n))
         got = solve_ot(TransportProblem(Pmf(mu), Pmf(psi), costs)).cost
         want = ot_vertex_enumeration(mu, psi, costs)
         assert got == pytest.approx(want, abs=1e-8), f"trial {trial}"
