@@ -67,12 +67,19 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
         entropy=[int(seed), int(tag)]))
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The normalized CDF that rng.choice(p.size, p=p) searches."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
     """One index drawn from the weights p; numpy's own algorithm for
     rng.choice(p.size, p=p), so the same uniform gives the same index,
-    without its argument checks."""
-    cdf = np.cumsum(p)
-    return int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+    without its argument checks. Draws of size m are
+    _cdf(p).searchsorted(rng.random(m), side="right")."""
+    return int(_cdf(p).searchsorted(rng.random(), side="right"))
 
 
 def _ceil_codes(rate_times_n: float) -> int:
@@ -227,35 +234,40 @@ def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
     """Pick a message index j with probability proportional to the
     likelihood of x_block under codeword (j, k)'s X-channel.
 
-    Scores are accumulated in log space with max subtraction. When
-    every codeword in column k has zero likelihood the draw falls back
-    to uniform and the second return value flags it. Indices are
-    0-based.
+    Scores are sums of the channel's cached log table
+    (Channel.log_rows), with max subtraction. When every codeword in
+    column k has zero likelihood the draw falls back to uniform and the
+    second return value flags it. Indices are 0-based.
     """
     num_j = codebook.shape[0]
     if not 0 <= k < codebook.shape[1]:
         raise ValueError("shared-randomness index out of range")
+    nx = x_given_u.output_size
     x_block = np.asarray(x_block)
-    probs = x_given_u.rows[codebook[:, k, :], x_block[None, :]]
-    with np.errstate(divide="ignore"):
-        scores = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)),
-                          -np.inf).sum(axis=1)
+    # a symbol past nx would read the next row of the flat table
+    if x_block.min() < 0 or x_block.max() >= nx:
+        raise ValueError("source symbol out of range")
+    # flat index u * nx + x of log_rows[u, x] for every (j, position)
+    cells = codebook[:, k, :] * nx
+    cells += x_block
+    scores = x_given_u.log_rows.ravel().take(cells).sum(axis=1)
     top = scores.max()
     if not np.isfinite(top):
         return int(rng.integers(num_j)), True
     w = np.exp(scores - top)
     w /= w.sum()
-    return int(rng.choice(num_j, p=w)), False
+    return _draw(rng, w), False
 
 
 def decode(codebook: np.ndarray, j: int, k: int, y_given_u: Channel,
            rng: np.random.Generator) -> np.ndarray:
     """Emit a block through the Y-channel of codeword (j, k), one
-    independent draw per position."""
-    rows = y_given_u.rows[codebook[j, k, :]]
-    u = rng.random((rows.shape[0], 1))
-    idx = (u > rows.cumsum(axis=1)).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
+    independent draw per position, by inverting the channel's cached
+    row CDFs (Channel.row_cdfs)."""
+    cdfs = y_given_u.row_cdfs[codebook[j, k, :]]
+    u = rng.random((cdfs.shape[0], 1))
+    idx = (u > cdfs).sum(axis=1)
+    return np.minimum(idx, cdfs.shape[1] - 1)
 
 
 def mixture_output_law(codewords: np.ndarray, channel: Channel,
@@ -458,6 +470,7 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     n = cfg.n
     q = max(1.0, cfg.metric_power)
     rng = _stream(cfg.seed, _STREAM_TRIALS)
+    cdf = _cdf(mu.probs)
 
     xs = np.empty((cfg.trials, n), dtype=np.int64)
     ys = np.empty((cfg.trials, n), dtype=np.int64)
@@ -465,7 +478,7 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     js = np.empty(cfg.trials, dtype=np.int64)
     fbs = np.zeros(cfg.trials, dtype=bool)
     for t in range(cfg.trials):
-        xs[t] = rng.choice(mu.size, size=n, p=mu.probs)
+        xs[t] = cdf.searchsorted(rng.random(n), side="right")
         ks[t] = rng.integers(num_k)
         js[t], fbs[t] = likelihood_encode(codebook, cfg.triple.x_given_u,
                                           xs[t], int(ks[t]), rng)

@@ -11,6 +11,7 @@ here so the encoding never drifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,24 @@ class Channel:
     @property
     def output_size(self) -> int:
         return int(self.rows.shape[1])
+
+    @cached_property
+    def log_rows(self) -> np.ndarray:
+        """Natural log of the rows, -inf where an entry is zero;
+        computed on first use, read-only."""
+        with np.errstate(divide="ignore"):
+            out = np.where(self.rows > 0.0,
+                           np.log(np.maximum(self.rows, 1e-300)), -np.inf)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def row_cdfs(self) -> np.ndarray:
+        """Cumulative sums along each row; computed on first use,
+        read-only."""
+        out = self.rows.cumsum(axis=1)
+        out.setflags(write=False)
+        return out
 
     def apply(self, p: Pmf) -> Pmf:
         """Pushforward of the input law through the channel."""

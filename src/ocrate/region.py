@@ -35,6 +35,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .info import (
+    CapExceeded,
     Channel,
     DistortionMatrix,
     DomainError,
@@ -215,7 +216,7 @@ def _sinkhorn(log_k: np.ndarray, mu: np.ndarray, psi: np.ndarray,
     optimum each sweep raises the dual <f, mu> + <g, psi>, and the l1
     error of the row sums falls, though not at every sweep. Sweeps stop
     at the first one that improves neither on its best so far, which
-    happens once rounding has the last word; RuntimeError is raised if
+    happens once rounding has the last word; CapExceeded is raised if
     that has not happened within _SCALING_SWEEPS sweeps.
     """
     log_mu, log_psi = np.log(mu), np.log(psi)
@@ -231,8 +232,8 @@ def _sinkhorn(log_k: np.ndarray, mu: np.ndarray, psi: np.ndarray,
             return f, g
         err, dual = min(err, new_err), max(dual, new_dual)
         f = f_next
-    raise RuntimeError(f"Sinkhorn scaling still moving after "
-                       f"{_SCALING_SWEEPS} sweeps (row error {err:.1e})")
+    raise CapExceeded(f"Sinkhorn scaling still moving after "
+                      f"{_SCALING_SWEEPS} sweeps (row error {err:.1e})")
 
 
 def _embed(table_s: np.ndarray, su: np.ndarray, sv: np.ndarray,
@@ -278,7 +279,8 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     dual <f, mu> + <g, psi> - beta d - sum mu x psi exp(f + g - beta rho)
     + 1 (in nats) lies below the optimum. Evaluated at the final
     potentials it must be within MMI_GAP_TOL bits of the value, or
-    RuntimeError is raised.
+    RuntimeError is raised. A scaling still moving after _SCALING_SWEEPS
+    sweeps raises CapExceeded.
 
     Edge cases: a budget below the minimum transport cost (one exact
     transport solve) gives (inf, None); a budget the independent

@@ -178,6 +178,21 @@ def test_mmi_with_symbols_lighter_than_the_lp_tolerance(tmp_path):
     assert json.loads(proc.stdout)["status"] == "ok"
 
 
+def test_mmi_sinkhorn_sweep_cap_exits_with_cap_code(tmp_path):
+    # just above the transport minimum the optimal plan has two cells of
+    # size about 9e-6 and the scaling would need millions of sweeps; the
+    # sweep cap must end the command as a resource cap, not a traceback
+    ninth = 1.0 / 9.0
+    cfg = write_config(tmp_path, {"mu": [0.5, 0.5], "psi": [0.5, 0.5],
+                                  "rho": [[ninth, ninth], [ninth, 2 * ninth]],
+                                  "d": ninth + 1e-6})
+    proc = run_cli("mmi", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("ocrate: resource cap: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_i0_reaches_known_value(tmp_path):
     cfg = write_config(tmp_path, {"mu": [0.5, 0.5], "psi": [0.5, 0.5],
                                   "rho": HAMMING_ROWS, "d": 0.25,

@@ -24,7 +24,7 @@ from ocrate import (
     run_simulation,
     soft_covering_exact,
 )
-from ocrate.codesim import _choose_mode, _draw
+from ocrate.codesim import _cdf, _choose_mode, _draw
 
 PINNED = Path(__file__).parent / "pinned"
 DEMO_CONFIG = Path(__file__).parents[1] / "demos" / "configs" / "simulate.json"
@@ -95,6 +95,9 @@ def test_likelihood_encode_fallback_and_bounds():
     assert not fell_back and 0 <= j < 4
     with pytest.raises(ValueError):
         likelihood_encode(book, ident, np.array([0, 0, 0]), 2, rng)
+    # symbol 2 of a binary channel would read the next row's table
+    with pytest.raises(ValueError):
+        likelihood_encode(book, ident, np.array([0, 2, 0]), 0, rng)
 
 
 def test_zero_rate_encoder_is_constant():
@@ -233,23 +236,57 @@ def _demo_config(**changes) -> SimConfig:
         np.array(raw.pop("rho"))), **raw)
 
 
+def _fallback_config() -> SimConfig:
+    """A Monte-Carlo run on channels with zero entries, where most
+    source blocks have zero likelihood under every codeword of their
+    column and the encoder falls back to a uniform draw (288 of the 300
+    trials; its pinned report has the other 12 with -inf scores among
+    finite ones)."""
+    triple = MarkovTriple(
+        Pmf(np.array([0.3, 0.3, 0.4])),
+        Channel(np.array([[.9, .1, 0], [0, .5, .5], [.2, 0, .8]])),
+        Channel(np.array([[.7, .3, 0], [.1, .8, .1], [0, .2, .8]])))
+    return SimConfig(triple=triple, rho=DistortionMatrix.hamming(3), n=12,
+                     r=0.15, rc=0.1, trials=300, seed=3, mode="monte-carlo")
+
+
+def _assert_pinned(report: dict, name: str, blas_keys: tuple[str, ...]):
+    # the same seed must give the same report bytes from one version of
+    # the code to the next, not only from one run to the next. Fields
+    # that come out of BLAS products have last bits that follow the BLAS
+    # kernel of the CPU (an OpenBLAS kernel without FMA gives
+    # tv_output_vs_iid 2.1e-17 instead of 2.8e-17 on the demo config),
+    # so they are held to round-off; every other byte is pinned.
+    want = json.loads((PINNED / f"{name}.json").read_text())
+    for key in blas_keys:
+        assert report.pop(key) == pytest.approx(want.pop(key), rel=1e-12,
+                                                abs=1e-15)
+    assert json.dumps(report, sort_keys=True) == json.dumps(want,
+                                                            sort_keys=True)
+
+
 @pytest.mark.parametrize("name, changes", [
     ("simulate_demo_config", {}),
     ("simulate_demo_n8_seed1", {"n": 8, "seed": 1, "trials": 4}),
 ])
 def test_exact_report_bytes_are_pinned(name, changes):
-    # the same seed must give the same report bytes from one version of
-    # the code to the next, not only from one run to the next. The two
-    # fields below come out of BLAS matrix products, whose last bits
-    # follow the BLAS kernel of the CPU (an OpenBLAS kernel without FMA
-    # gives tv_output_vs_iid 2.1e-17 instead of 2.8e-17 on the demo
-    # config), so they are held to round-off; every other byte is pinned.
-    got = run_simulation(_demo_config(**changes)).to_dict()
-    want = json.loads((PINNED / f"{name}.json").read_text())
-    for key in ("mean_distortion", "tv_output_vs_iid"):
-        assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12,
-                                             abs=1e-15)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    # mean_distortion and tv_output_vs_iid pass through joint @ cond and
+    # out_law @ cond
+    _assert_pinned(run_simulation(_demo_config(**changes)).to_dict(), name,
+                   ("mean_distortion", "tv_output_vs_iid"))
+
+
+@pytest.mark.parametrize("name, make_config", [
+    ("simulate_mc_binary_n24", lambda: _demo_config(
+        y_given_u=[[0.9, 0.1], [0.2, 0.8]], n=24, r=0.3, rc=0.1,
+        trials=200, mode="monte-carlo")),
+    ("simulate_mc_fallback_n12", _fallback_config),
+])
+def test_monte_carlo_report_bytes_are_pinned(name, make_config):
+    # the plug-in total variation multiplies psi = weights @ rows; every
+    # other field is sums and means of exact table entries
+    _assert_pinned(run_simulation(make_config()).to_dict(), name,
+                   ("tv_output_vs_iid",))
 
 
 def test_exact_mode_at_the_plan_cap():
@@ -279,8 +316,51 @@ def test_draw_matches_numpy_choice(weights, seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         assert _draw(fast, p) == int(slow.choice(p.size, p=p))
+    # the source-block draw of the Monte-Carlo loop, size n at once
+    for n in (1, 7):
+        np.testing.assert_array_equal(
+            _cdf(p).searchsorted(fast.random(n), side="right"),
+            slow.choice(p.size, size=n, p=p))
     # both used the same uniforms
     assert fast.random() == slow.random()
+
+
+def _reference_encode(codebook, x_given_u, x_block, k, rng):
+    """The likelihood encoder by its plain formula: the log table built
+    from the rows on every call, a 2-D fancy index and rng.choice."""
+    num_j = codebook.shape[0]
+    probs = x_given_u.rows[codebook[:, k, :], x_block[None, :]]
+    with np.errstate(divide="ignore"):
+        scores = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)),
+                          -np.inf).sum(axis=1)
+    top = scores.max()
+    if not np.isfinite(top):
+        return int(rng.integers(num_j)), True
+    w = np.exp(scores - top)
+    w /= w.sum()
+    return int(rng.choice(num_j, p=w)), False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40),
+       st.integers(1, 3), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+def test_likelihood_encode_matches_reference(nu, nx, num_j, num_k, n, seed):
+    gen = np.random.default_rng(seed)
+    # integer weights 0-3 with one forced positive entry per row leave
+    # zeros in most channels, so -inf scores and fallbacks both occur
+    weights = gen.integers(0, 4, size=(nu, nx)).astype(float)
+    weights[np.arange(nu), gen.integers(nx, size=nu)] += 1.0
+    chan = Channel(weights / weights.sum(axis=1, keepdims=True))
+    book = gen.integers(nu, size=(num_j, num_k, n))
+    for _ in range(4):
+        k = int(gen.integers(num_k))
+        block = gen.integers(nx, size=n)
+        state = int(gen.integers(2 ** 32))
+        fast = np.random.default_rng(state)
+        slow = np.random.default_rng(state)
+        assert likelihood_encode(book, chan, block, k, fast) == \
+            _reference_encode(book, chan, block, k, slow)
+        assert fast.random() == slow.random()
 
 
 def test_dense_codebook_covers_output():

@@ -1,5 +1,7 @@
 """Information-measure primitives: frozen values and invariants."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,33 @@ def test_channel_validation():
     assert bsc.rows[0, 1] == pytest.approx(0.1)
     out = bsc.apply(Pmf(np.array([1.0, 0.0])))
     assert out.probs == pytest.approx([0.9, 0.1])
+
+
+def test_channel_cached_tables():
+    chan = Channel(np.array([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]))
+    logs, cdfs = chan.log_rows, chan.row_cdfs
+    np.testing.assert_array_equal(
+        logs, [[np.log(0.5), np.log(0.5), -np.inf],
+               [-np.inf, np.log(0.25), np.log(0.75)]])
+    np.testing.assert_array_equal(cdfs, [[0.5, 1.0, 1.0], [0.0, 0.25, 1.0]])
+    # computed once, then the same read-only object, like rows
+    assert chan.log_rows is logs and chan.row_cdfs is cdfs
+    for table in (chan.rows, logs, cdfs):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    # the tables are not fields: equality, repr and validation see rows only
+    assert [f.name for f in fields(Channel)] == ["rows"]
+    assert chan == chan
+    read, fresh = Channel(np.array([[1.0]])), Channel(np.array([[1.0]]))
+    assert read.log_rows.tolist() == [[0.0]]
+    assert read.row_cdfs.tolist() == [[1.0]]
+    assert read == fresh
+    assert repr(Channel(np.eye(2))) == repr(Channel(np.eye(2)).rows).join(
+        ["Channel(rows=", ")"])
+    with pytest.raises(ValueError):
+        Channel(np.array([[0.5, 0.6], [0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        Channel(np.array([[1.5, -0.5]]))
 
 
 def test_kl_and_mutual_information():
