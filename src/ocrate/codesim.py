@@ -25,7 +25,17 @@ Two modes:
   total variation is the biased plug-in estimate from the empirical
   block histogram and is flagged as such, and the correction stage
   couples the pooled single-letter empirical law instead of the block
-  law (also flagged, via mode).
+  law (also flagged, via mode). The trial loop runs in two passes over
+  one random stream. The first draws, trial by trial, the source
+  uniforms, k, the encoder's uniform and the decoder's uniforms; none
+  of these depends on the encoder's scores. Only when the X-channel
+  has zero entries does it score a trial at once: a trial whose block
+  has zero likelihood under every codeword of its column draws a
+  uniform j where the encoder's uniform would be. The second pass
+  scores the other trials in batches that share k and picks each j by
+  inverting its CDF at the stored uniform; one decode call then emits
+  every block. The draws and every report byte are those of a loop
+  that encodes and decodes one trial at a time.
 
 Everything is deterministic given the config seed: independent numpy
 SeedSequence streams (seed, tag) drive the codebook draw, the trial
@@ -56,6 +66,8 @@ BLOCK_CAP = 10 ** 7
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
 PLAN_CAP = 2 ** 20          # cells of the block-correction plan
 _CHUNK_WORK = 2_000_000
+_CODEBOOK_SLICE = 2 ** 18   # codebook cells drawn per uniform array
+_SCORE_CELLS = 2 ** 17      # gathered log-likelihood cells per batch
 
 _STREAM_CODEBOOK = 0
 _STREAM_TRIALS = 1
@@ -223,9 +235,48 @@ def generate_codebook(triple: MarkovTriple, n: int, r: float, rc: float,
         raise CapExceeded(f"codebook of {num_j}x{num_k} words exceeds cap {cap}")
     if num_j * num_k * n > 2 ** 27:
         raise CapExceeded("codebook array too large to materialize")
+    # rng.choice(..., p=...) over the whole array, drawn in j-slices so
+    # the uniforms never take as much memory as the codebook
     rng = _stream(seed, _STREAM_CODEBOOK)
-    return rng.choice(triple.index_size, size=(num_j, num_k, n),
-                      p=triple.weights.probs)
+    cdf = _cdf(triple.weights.probs)
+    book = np.empty((num_j, num_k, n), dtype=np.intp)
+    step = max(1, _CODEBOOK_SLICE // (num_k * n))
+    for lo in range(0, num_j, step):
+        part = book[lo:lo + step]
+        part[...] = cdf.searchsorted(rng.random(part.shape), side="right")
+    return book
+
+
+def _columns(codebook: np.ndarray, k: int) -> np.ndarray:
+    """(num_j, n) flat index c * n + i of codeword (j, k)'s letter c at
+    position i, the cells _scores gathers for column k."""
+    n = codebook.shape[2]
+    cells = codebook[:, k, :] * n
+    cells += np.arange(n)
+    return cells
+
+
+def _scores(log_rows: np.ndarray, x_blocks: np.ndarray,
+            cells: np.ndarray) -> np.ndarray:
+    """(B, num_j) log-likelihood of each of B source blocks under each
+    codeword of the column whose _columns are cells. Row b of the
+    gathered table holds log_rows[c, x_blocks[b, i]] at c * n + i."""
+    tables = log_rows[:, x_blocks].transpose(1, 0, 2).reshape(
+        len(x_blocks), -1)
+    return np.take(tables, cells, axis=1).sum(axis=-1)
+
+
+def _pick(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the index drawn with probability proportional to
+    exp(scores) from the uniform u: the count of normalized-CDF entries
+    at most u, which is _draw's searchsorted on the same uniform. Every
+    row needs a finite maximum."""
+    top = scores.max(axis=1, keepdims=True)
+    w = np.exp(scores - top)
+    w /= w.sum(axis=1, keepdims=True)
+    cdf = w.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
@@ -244,30 +295,32 @@ def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
         raise ValueError("shared-randomness index out of range")
     nx = x_given_u.output_size
     x_block = np.asarray(x_block)
-    # a symbol past nx would read the next row of the flat table
+    # a negative symbol would wrap around in the table lookup
     if x_block.min() < 0 or x_block.max() >= nx:
         raise ValueError("source symbol out of range")
-    # flat index u * nx + x of log_rows[u, x] for every (j, position)
-    cells = codebook[:, k, :] * nx
-    cells += x_block
-    scores = x_given_u.log_rows.ravel().take(cells).sum(axis=1)
-    top = scores.max()
-    if not np.isfinite(top):
+    scores = _scores(x_given_u.log_rows, x_block[None],
+                     _columns(codebook, k))
+    if not np.isfinite(scores.max()):
         return int(rng.integers(num_j)), True
-    w = np.exp(scores - top)
-    w /= w.sum()
-    return _draw(rng, w), False
+    return int(_pick(scores, np.array([rng.random()]))[0]), False
 
 
-def decode(codebook: np.ndarray, j: int, k: int, y_given_u: Channel,
-           rng: np.random.Generator) -> np.ndarray:
-    """Emit a block through the Y-channel of codeword (j, k), one
+def decode(codebook: np.ndarray, j: np.ndarray, k: np.ndarray,
+           y_given_u: Channel, uniforms: np.ndarray) -> np.ndarray:
+    """Emit blocks through the Y-channel of codewords (j[t], k[t]), one
     independent draw per position, by inverting the channel's cached
-    row CDFs (Channel.row_cdfs)."""
-    cdfs = y_given_u.row_cdfs[codebook[j, k, :]]
-    u = rng.random((cdfs.shape[0], 1))
-    idx = (u > cdfs).sum(axis=1)
-    return np.minimum(idx, cdfs.shape[1] - 1)
+    row CDFs (Channel.row_cdfs) at uniforms[t, i]: the symbol is the
+    count of the letter's CDF entries below the uniform, capped at the
+    last symbol. j and k are indices or index arrays of one shape, and
+    uniforms has the shape of codebook[j, k]."""
+    words = codebook[j, k]
+    cdfs = y_given_u.row_cdfs
+    out = np.zeros(words.shape, dtype=np.intp)
+    # CDF rows do not decrease, so leaving out the last entry caps the
+    # count at the last symbol
+    for c in range(cdfs.shape[1] - 1):
+        out += uniforms > cdfs[:, c].take(words)
+    return out
 
 
 def mixture_output_law(codewords: np.ndarray, channel: Channel,
@@ -460,30 +513,64 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     )
 
 
+def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
+                num_k: int) -> tuple[np.ndarray, ...]:
+    """The Monte-Carlo trials in two passes over the trial stream (see
+    the module docstring): source blocks, k, j, fallback flags and
+    decoded blocks, one row or entry per trial."""
+    n = cfg.n
+    rng = _stream(cfg.seed, _STREAM_TRIALS)
+    cdf = _cdf(cfg.triple.induced_x().probs)
+    log_rows = cfg.triple.x_given_u.log_rows
+    may_fall_back = bool(np.isneginf(log_rows).any())
+
+    # pass 1: the trial stream, drawn in the per-trial order source
+    # uniforms, k, encoder uniform (or a uniform j on a fallback),
+    # decoder uniforms
+    trials = cfg.trials
+    x_u = np.empty((trials, n))
+    dec_u = np.empty((trials, n))
+    enc_u = np.empty(trials)
+    ks = np.empty(trials, dtype=np.intp)
+    js = np.empty(trials, dtype=np.intp)
+    fbs = np.zeros(trials, dtype=bool)
+    for t in range(trials):
+        rng.random(out=x_u[t])
+        k = ks[t] = rng.integers(num_k)
+        if may_fall_back:
+            x = cdf.searchsorted(x_u[t], side="right")
+            fbs[t] = not np.isfinite(
+                _scores(log_rows, x[None], _columns(codebook, k)).max())
+        if fbs[t]:
+            js[t] = rng.integers(num_j)
+        else:
+            enc_u[t] = rng.random()
+        rng.random(out=dec_u[t])
+    xs = cdf.searchsorted(x_u, side="right")
+
+    # pass 2: score the other trials in batches that share k
+    live = np.flatnonzero(~fbs)
+    live = live[np.argsort(ks[live], kind="stable")]
+    batch = max(1, _SCORE_CELLS // (num_j * n))
+    for group in np.split(live, np.flatnonzero(np.diff(ks[live])) + 1):
+        if group.size == 0:
+            continue
+        cells = _columns(codebook, ks[group[0]])
+        for lo in range(0, group.size, batch):
+            sel = group[lo:lo + batch]
+            js[sel] = _pick(_scores(log_rows, xs[sel], cells), enc_u[sel])
+    ys = decode(codebook, js, ks, cfg.triple.y_given_u, dec_u)
+    return xs, ks, js, fbs, ys
+
+
 def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
                      num_k: int, single: float) -> SimReport:
     if cfg.trials < 1:
         raise ValueError("monte-carlo mode needs at least one trial")
-    mu = cfg.triple.induced_x()
     psi = cfg.triple.induced_y().probs
     rho = cfg.rho.costs
-    n = cfg.n
     q = max(1.0, cfg.metric_power)
-    rng = _stream(cfg.seed, _STREAM_TRIALS)
-    cdf = _cdf(mu.probs)
-
-    xs = np.empty((cfg.trials, n), dtype=np.int64)
-    ys = np.empty((cfg.trials, n), dtype=np.int64)
-    ks = np.empty(cfg.trials, dtype=np.int64)
-    js = np.empty(cfg.trials, dtype=np.int64)
-    fbs = np.zeros(cfg.trials, dtype=bool)
-    for t in range(cfg.trials):
-        xs[t] = cdf.searchsorted(rng.random(n), side="right")
-        ks[t] = rng.integers(num_k)
-        js[t], fbs[t] = likelihood_encode(codebook, cfg.triple.x_given_u,
-                                          xs[t], int(ks[t]), rng)
-        ys[t] = decode(codebook, int(js[t]), int(ks[t]),
-                       cfg.triple.y_given_u, rng)
+    xs, ks, js, fbs, ys = _trial_loop(cfg, codebook, num_j, num_k)
     d_pre = rho[xs, ys].mean(axis=1)
 
     final = ys
@@ -522,7 +609,7 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
 
     mean_d = float((d_post if cfg.correction else d_pre).mean())
     return SimReport(
-        mode="monte-carlo", n=n, num_j=num_j, num_k=num_k,
+        mode="monte-carlo", n=cfg.n, num_j=num_j, num_k=num_k,
         single_letter_distortion=float(single),
         mean_distortion=mean_d,
         tv_output_vs_iid=tv_plugin,

@@ -5,6 +5,7 @@ the correction stage, and the soft-covering trend."""
 import json
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ocrate import (
     run_simulation,
     soft_covering_exact,
 )
+from ocrate import codesim
 from ocrate.codesim import _cdf, _choose_mode, _draw
 
 PINNED = Path(__file__).parent / "pinned"
@@ -114,16 +116,49 @@ def test_decode_identity_constant_and_noisy():
     book = np.array([[[0, 1, 1, 0]]])
     rng = np.random.default_rng(9)
     np.testing.assert_array_equal(
-        decode(book, 0, 0, Channel.identity(2), rng), [0, 1, 1, 0])
+        decode(book, 0, 0, Channel.identity(2), rng.random(4)), [0, 1, 1, 0])
     always_one = Channel(np.array([[0.0, 1.0], [0.0, 1.0]]))
     np.testing.assert_array_equal(
-        decode(book, 0, 0, always_one, rng), [1, 1, 1, 1])
+        decode(book, 0, 0, always_one, rng.random(4)), [1, 1, 1, 1])
 
     n = 10_000
     long_book = np.zeros((1, 1, n), dtype=np.int64)
-    flips = float(np.mean(decode(long_book, 0, 0, Channel.bsc(0.1), rng)))
+    flips = float(np.mean(decode(long_book, 0, 0, Channel.bsc(0.1),
+                                 rng.random(n))))
     sigma = math.sqrt(0.1 * 0.9 / n)
     assert abs(flips - 0.1) <= 4.0 * sigma
+
+
+def _zero_rich_channel(gen, rows, cols) -> Channel:
+    # integer weights 0-3 with one forced positive entry per row leave
+    # zeros in most channels
+    weights = gen.integers(0, 4, size=(rows, cols)).astype(float)
+    weights[np.arange(rows), gen.integers(cols, size=rows)] += 1.0
+    return Channel(weights / weights.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_batched_decode_matches_row_inversion(nu, ny, num_k, n, seed):
+    """Each decoded symbol is the inverse of its codeword letter's row
+    CDF at the trial's uniform, one row at a time, as in a per-block
+    decoder."""
+    gen = np.random.default_rng(seed)
+    chan = _zero_rich_channel(gen, nu, ny)
+    book = gen.integers(nu, size=(5, num_k, n))
+    trials = 30
+    js, ks = gen.integers(5, size=trials), gen.integers(num_k, size=trials)
+    # uniforms on the CDF steps themselves hit the comparison's edge
+    uniforms = gen.random((trials, n))
+    uniforms[:, 0] = chan.row_cdfs[book[js, ks, 0], gen.integers(ny)]
+    got = decode(book, js, ks, chan, uniforms)
+    assert got.shape == (trials, n)
+    for t in range(trials):
+        for i in range(n):
+            cdf = chan.row_cdfs[book[js[t], ks[t], i]]
+            want = min(int((uniforms[t, i] > cdf).sum()), ny - 1)
+            assert got[t, i] == want
 
 
 def test_mixture_output_law_hand_values():
@@ -325,6 +360,28 @@ def test_draw_matches_numpy_choice(weights, seed):
     assert fast.random() == slow.random()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, 1e-12, 0.1, 0.5, 1.0, 3.0]),
+                min_size=1, max_size=4).filter(lambda w: sum(w) > 0.0),
+       st.integers(1, 9), st.integers(1, 4), st.integers(1, 5),
+       st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+def test_codebook_slices_match_numpy_choice(weights, num_j, num_k, n,
+                                            slice_cells, seed):
+    """The codebook drawn in j-slices of at most slice_cells cells (at
+    least one word row) is rng.choice over the whole array, bit for
+    bit."""
+    p = np.array(weights) / sum(weights)
+    triple = MarkovTriple(Pmf(p), Channel.identity(p.size),
+                          Channel.identity(p.size))
+    r, rc = math.log2(num_j) / n, math.log2(num_k) / n
+    with patch.object(codesim, "_CODEBOOK_SLICE", slice_cells):
+        book = generate_codebook(triple, n, r, rc, seed)
+    assert book.shape == (num_j, num_k, n)
+    slow = codesim._stream(seed, codesim._STREAM_CODEBOOK)
+    np.testing.assert_array_equal(
+        book, slow.choice(p.size, size=book.shape, p=p))
+
+
 def _reference_encode(codebook, x_given_u, x_block, k, rng):
     """The likelihood encoder by its plain formula: the log table built
     from the rows on every call, a 2-D fancy index and rng.choice."""
@@ -346,11 +403,8 @@ def _reference_encode(codebook, x_given_u, x_block, k, rng):
        st.integers(1, 3), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
 def test_likelihood_encode_matches_reference(nu, nx, num_j, num_k, n, seed):
     gen = np.random.default_rng(seed)
-    # integer weights 0-3 with one forced positive entry per row leave
     # zeros in most channels, so -inf scores and fallbacks both occur
-    weights = gen.integers(0, 4, size=(nu, nx)).astype(float)
-    weights[np.arange(nu), gen.integers(nx, size=nu)] += 1.0
-    chan = Channel(weights / weights.sum(axis=1, keepdims=True))
+    chan = _zero_rich_channel(gen, nu, nx)
     book = gen.integers(nu, size=(num_j, num_k, n))
     for _ in range(4):
         k = int(gen.integers(num_k))
@@ -361,6 +415,69 @@ def test_likelihood_encode_matches_reference(nu, nx, num_j, num_k, n, seed):
         assert likelihood_encode(book, chan, block, k, fast) == \
             _reference_encode(book, chan, block, k, slow)
         assert fast.random() == slow.random()
+
+
+def _per_trial_loop(cfg, codebook, num_j, num_k):
+    """The Monte-Carlo trial loop one trial at a time: per-trial
+    likelihood_encode and a decoder that draws its own uniforms, in the
+    order source block, k, j, output block."""
+    rng = codesim._stream(cfg.seed, codesim._STREAM_TRIALS)
+    cdf = _cdf(cfg.triple.induced_x().probs)
+    rows = []
+    for _ in range(cfg.trials):
+        x = cdf.searchsorted(rng.random(cfg.n), side="right")
+        k = int(rng.integers(num_k))
+        j, fell_back = likelihood_encode(codebook, cfg.triple.x_given_u, x,
+                                         k, rng)
+        cdfs = cfg.triple.y_given_u.row_cdfs[codebook[j, k]]
+        y = np.minimum((rng.random((cfg.n, 1)) > cdfs).sum(axis=1),
+                       cdfs.shape[1] - 1)
+        rows.append((x, k, j, fell_back, y))
+    xs, ks, js, fbs, ys = map(np.array, zip(*rows))
+    return xs, ks, js, fbs, ys
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 14),
+       st.sampled_from([0.0, 0.2, 0.5]), st.sampled_from([0.0, 0.1, 0.3]),
+       st.integers(1, 120), st.booleans(), st.sampled_from([1, 40, 2 ** 17]),
+       st.integers(0, 2 ** 32 - 1))
+def test_monte_carlo_loop_matches_per_trial_loop(nu, nx, n, r, rc, trials,
+                                                  correction, score_cells,
+                                                  seed):
+    """The two-pass trial loop gives every report field of the
+    per-trial loop exactly, fallbacks included, at batch sizes from one
+    trial up."""
+    gen = np.random.default_rng(seed)
+    weights = gen.random(nu) + 0.05
+    triple = MarkovTriple(Pmf(weights / weights.sum()),
+                          _zero_rich_channel(gen, nu, nx),
+                          _zero_rich_channel(gen, nu, nx))
+    cfg = SimConfig(triple=triple, rho=DistortionMatrix(gen.random((nx, nx))),
+                    n=n, r=r, rc=rc, trials=trials, seed=seed,
+                    correction=correction, mode="monte-carlo")
+    with patch.object(codesim, "_SCORE_CELLS", score_cells):
+        got = run_simulation(cfg).to_dict()
+    with patch.object(codesim, "_trial_loop", _per_trial_loop):
+        want = run_simulation(cfg).to_dict()
+    assert got == want
+
+
+def test_monte_carlo_loop_matches_with_fallbacks_and_small_batches():
+    """One fixed instance with every case the loop treats apart: some
+    trials fall back, several k columns, one trial per scoring batch."""
+    triple = MarkovTriple(
+        Pmf(np.array([0.5, 0.5])),
+        Channel(np.array([[1.0, 0.0], [0.5, 0.5]])), Channel.bsc(0.2))
+    cfg = SimConfig(triple=triple, rho=HAMMING2, n=8, r=0.5, rc=0.3,
+                    trials=120, seed=4, mode="monte-carlo")
+    with patch.object(codesim, "_SCORE_CELLS", 40):
+        rep = run_simulation(cfg)
+    assert rep.num_k > 1 and 0 < rep.encoder_fallbacks < cfg.trials
+    # 40 cells hold 40 // (16 * 8) -> one trial per batch
+    assert rep.num_j * cfg.n > 40
+    with patch.object(codesim, "_trial_loop", _per_trial_loop):
+        assert run_simulation(cfg).to_dict() == rep.to_dict()
 
 
 def test_dense_codebook_covers_output():
