@@ -29,13 +29,18 @@ Two modes:
   one random stream. The first draws, trial by trial, the source
   uniforms, k, the encoder's uniform and the decoder's uniforms; none
   of these depends on the encoder's scores. Only when the X-channel
-  has zero entries does it score a trial at once: a trial whose block
-  has zero likelihood under every codeword of its column draws a
-  uniform j where the encoder's uniform would be. The second pass
-  scores the other trials in batches that share k and picks each j by
-  inverting its CDF at the stored uniform; one decode call then emits
-  every block. The draws and every report byte are those of a loop
-  that encodes and decodes one trial at a time.
+  has zero entries does it encode each trial at once: a trial whose
+  block has zero likelihood under every codeword of its column draws
+  a uniform j where the encoder's uniform would be. Otherwise the
+  second pass scores the trials in batches that share k and picks
+  each j by inverting its CDF at the stored uniform; one decode call
+  then emits every block. A batch's scores are one matrix product per
+  j-slice of its codebook column: the slice's one-hot times the
+  batch's table of per-letter log-likelihoods. The draws are those of
+  a loop that encodes and decodes one trial at a time. Only the last
+  bits of the scores follow the product's summation order, so a j
+  can differ from that loop's only where the encoder's uniform lies
+  within round-off of a CDF step.
 
 Everything is deterministic given the config seed: independent numpy
 SeedSequence streams (seed, tag) drive the codebook draw, the trial
@@ -66,8 +71,8 @@ BLOCK_CAP = 10 ** 7
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
 PLAN_CAP = 2 ** 20          # cells of the block-correction plan
 _CHUNK_WORK = 2_000_000
-_CODEBOOK_SLICE = 2 ** 18   # codebook cells drawn per uniform array
-_SCORE_CELLS = 2 ** 17      # gathered log-likelihood cells per batch
+_CODEBOOK_SLICE = 2 ** 18   # cells of a codebook or one-hot slice
+_SCORE_CELLS = 2 ** 17      # cells of a batch's scores and of its table
 
 _STREAM_CODEBOOK = 0
 _STREAM_TRIALS = 1
@@ -89,9 +94,21 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
     """One index drawn from the weights p; numpy's own algorithm for
     rng.choice(p.size, p=p), so the same uniform gives the same index,
-    without its argument checks. Draws of size m are
-    _cdf(p).searchsorted(rng.random(m), side="right")."""
+    without its argument checks. Letter draws of size m are
+    _letters(_cdf(p), rng.random(m), out)."""
     return int(_cdf(p).searchsorted(rng.random(), side="right"))
+
+
+def _letters(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write to out, and return, the letters that the uniforms u draw
+    from the normalized CDF of a small alphabet: the count of cdf[:-1]
+    entries at most u. As u < 1 = cdf[-1], that is
+    cdf.searchsorted(u, side="right"), and one pass per letter is
+    faster than the binary search on a few letters."""
+    out[...] = 0
+    for step in cdf[:-1]:
+        out += u >= step
+    return out
 
 
 def _ceil_codes(rate_times_n: float) -> int:
@@ -226,7 +243,10 @@ class SimReport:
 def generate_codebook(triple: MarkovTriple, n: int, r: float, rc: float,
                       seed: int, cap: int = CODEBOOK_CAP) -> np.ndarray:
     """Draw the (ceil(2^{n r}), ceil(2^{n rc}), n) index-word array iid
-    from the triple's index law. Deterministic given the seed."""
+    from the triple's index law. Deterministic given the seed. The
+    dtype is the smallest signed integer that holds every index
+    (int8 up to 128 letters), so arithmetic on the entries can
+    overflow: index with them, or widen them first."""
     if n < 1:
         raise ValueError("block length must be >= 1")
     num_j = _ceil_codes(n * r)
@@ -238,32 +258,53 @@ def generate_codebook(triple: MarkovTriple, n: int, r: float, rc: float,
     # rng.choice(..., p=...) over the whole array, drawn in j-slices so
     # the uniforms never take as much memory as the codebook
     rng = _stream(seed, _STREAM_CODEBOOK)
+    size = triple.index_size
     cdf = _cdf(triple.weights.probs)
-    book = np.empty((num_j, num_k, n), dtype=np.intp)
+    book = np.empty((num_j, num_k, n), dtype=np.min_scalar_type(-size))
     step = max(1, _CODEBOOK_SLICE // (num_k * n))
     for lo in range(0, num_j, step):
         part = book[lo:lo + step]
-        part[...] = cdf.searchsorted(rng.random(part.shape), side="right")
+        _letters(cdf, rng.random(part.shape), part)
     return book
 
 
-def _columns(codebook: np.ndarray, k: int) -> np.ndarray:
-    """(num_j, n) flat index c * n + i of codeword (j, k)'s letter c at
-    position i, the cells _scores gathers for column k."""
-    n = codebook.shape[2]
-    cells = codebook[:, k, :] * n
-    cells += np.arange(n)
-    return cells
+def _one_hot(words: np.ndarray, size: int) -> np.ndarray:
+    """(m, size * n) indicator of m index words over a size-letter
+    alphabet: 1.0 at c * n + i where letter i of the word is c."""
+    m, n = words.shape
+    hot = np.empty((m, size, n))
+    np.equal(words[:, None, :], np.arange(size, dtype=words.dtype)[:, None],
+             out=hot)
+    return hot.reshape(m, size * n)
 
 
 def _scores(log_rows: np.ndarray, x_blocks: np.ndarray,
-            cells: np.ndarray) -> np.ndarray:
+            words: np.ndarray) -> np.ndarray:
     """(B, num_j) log-likelihood of each of B source blocks under each
-    codeword of the column whose _columns are cells. Row b of the
-    gathered table holds log_rows[c, x_blocks[b, i]] at c * n + i."""
-    tables = log_rows[:, x_blocks].transpose(1, 0, 2).reshape(
-        len(x_blocks), -1)
-    return np.take(tables, cells, axis=1).sum(axis=-1)
+    of num_j index words (one codebook column).
+
+    The sums are products: the one-hot of a j-slice of the words (at
+    most _CODEBOOK_SLICE cells) times the (|U| n, B) table whose row
+    c * n + i holds log_rows[c, x_blocks[:, i]]. -inf entries go into
+    the table as 0, and a second product with the table of where they
+    are gives -inf to every word with a zero-likelihood letter.
+    """
+    size = log_rows.shape[0]
+    num_j, n = words.shape
+    cols = x_blocks.T
+    zero = np.isneginf(log_rows)
+    table = np.where(zero, 0.0, log_rows)[:, cols].reshape(size * n, -1)
+    zeros = zero.astype(float)[:, cols].reshape(size * n, -1) \
+        if zero.any() else None
+    out = np.empty((len(x_blocks), num_j))
+    step = max(1, _CODEBOOK_SLICE // (size * n))
+    for lo in range(0, num_j, step):
+        hot = _one_hot(words[lo:lo + step], size)
+        part = hot @ table
+        if zeros is not None:
+            part[hot @ zeros > 0.0] = -np.inf
+        out[:, lo:lo + step] = part.T
+    return out
 
 
 def _pick(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -279,6 +320,15 @@ def _pick(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(axis=1)
 
 
+def _encode(log_rows: np.ndarray, x_block: np.ndarray, words: np.ndarray,
+            rng: np.random.Generator) -> tuple[int, bool]:
+    """likelihood_encode on the column words, without argument checks."""
+    scores = _scores(log_rows, x_block[None], words)
+    if not np.isfinite(scores.max()):
+        return int(rng.integers(len(words))), True
+    return int(_pick(scores, np.array([rng.random()]))[0]), False
+
+
 def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
                       x_block: np.ndarray, k: int,
                       rng: np.random.Generator) -> tuple[int, bool]:
@@ -290,7 +340,6 @@ def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
     column k has zero likelihood the draw falls back to uniform and the
     second return value flags it. Indices are 0-based.
     """
-    num_j = codebook.shape[0]
     if not 0 <= k < codebook.shape[1]:
         raise ValueError("shared-randomness index out of range")
     nx = x_given_u.output_size
@@ -298,11 +347,7 @@ def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
     # a negative symbol would wrap around in the table lookup
     if x_block.min() < 0 or x_block.max() >= nx:
         raise ValueError("source symbol out of range")
-    scores = _scores(x_given_u.log_rows, x_block[None],
-                     _columns(codebook, k))
-    if not np.isfinite(scores.max()):
-        return int(rng.integers(num_j)), True
-    return int(_pick(scores, np.array([rng.random()]))[0]), False
+    return _encode(x_given_u.log_rows, x_block, codebook[:, k], rng)
 
 
 def decode(codebook: np.ndarray, j: np.ndarray, k: np.ndarray,
@@ -526,9 +571,10 @@ def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
 
     # pass 1: the trial stream, drawn in the per-trial order source
     # uniforms, k, encoder uniform (or a uniform j on a fallback),
-    # decoder uniforms
+    # decoder uniforms; a trial that may fall back is encoded here
     trials = cfg.trials
     x_u = np.empty((trials, n))
+    xs = np.empty((trials, n), dtype=np.intp)
     dec_u = np.empty((trials, n))
     enc_u = np.empty(trials)
     ks = np.empty(trials, dtype=np.intp)
@@ -538,27 +584,22 @@ def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
         rng.random(out=x_u[t])
         k = ks[t] = rng.integers(num_k)
         if may_fall_back:
-            x = cdf.searchsorted(x_u[t], side="right")
-            fbs[t] = not np.isfinite(
-                _scores(log_rows, x[None], _columns(codebook, k)).max())
-        if fbs[t]:
-            js[t] = rng.integers(num_j)
+            js[t], fbs[t] = _encode(log_rows, _letters(cdf, x_u[t], xs[t]),
+                                    codebook[:, k], rng)
         else:
             enc_u[t] = rng.random()
         rng.random(out=dec_u[t])
-    xs = cdf.searchsorted(x_u, side="right")
 
-    # pass 2: score the other trials in batches that share k
-    live = np.flatnonzero(~fbs)
-    live = live[np.argsort(ks[live], kind="stable")]
-    batch = max(1, _SCORE_CELLS // (num_j * n))
-    for group in np.split(live, np.flatnonzero(np.diff(ks[live])) + 1):
-        if group.size == 0:
-            continue
-        cells = _columns(codebook, ks[group[0]])
-        for lo in range(0, group.size, batch):
-            sel = group[lo:lo + batch]
-            js[sel] = _pick(_scores(log_rows, xs[sel], cells), enc_u[sel])
+    # pass 2: score every trial in batches that share k
+    if not may_fall_back:
+        _letters(cdf, x_u, xs)
+        order = np.argsort(ks, kind="stable")
+        batch = max(1, _SCORE_CELLS // max(num_j, log_rows.shape[0] * n))
+        for group in np.split(order, np.flatnonzero(np.diff(ks[order])) + 1):
+            words = codebook[:, ks[group[0]]]
+            for lo in range(0, group.size, batch):
+                sel = group[lo:lo + batch]
+                js[sel] = _pick(_scores(log_rows, xs[sel], words), enc_u[sel])
     ys = decode(codebook, js, ks, cfg.triple.y_given_u, dec_u)
     return xs, ks, js, fbs, ys
 

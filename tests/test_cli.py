@@ -3,6 +3,7 @@ contracts, exit codes, determinism of written artifacts."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -16,9 +17,9 @@ BSC25_ROWS = [[0.75, 0.25], [0.25, 0.75]]
 IDENTITY_ROWS = [[1.0, 0.0], [0.0, 1.0]]
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     return subprocess.run([sys.executable, "-m", "ocrate.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def parse_csv(text):
@@ -282,6 +283,29 @@ def test_simulate_writes_report_and_trials(sim_config):
     assert out2.read_text() == report_text
     assert (tmp_path / "again.trials.csv").read_text() == \
         trials_path.read_text()
+
+
+@pytest.mark.parametrize("x_given_u", [BSC25_ROWS, [[1.0, 0.0], [0.2, 0.8]]])
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, x_given_u):
+    """The Monte-Carlo scores are BLAS products, batched when the
+    X-channel has full support and one block at a time when it has a
+    zero; both are large enough for OpenBLAS to split them over two
+    threads, and the written artifacts must not change."""
+    cfg = write_config(tmp_path, {
+        "weights": [0.6, 0.4], "x_given_u": x_given_u,
+        "y_given_u": BSC25_ROWS, "rho": HAMMING_ROWS, "n": 32, "r": 0.35,
+        "rc": 0.1, "trials": 200, "seed": 3, "mode": "monte-carlo"})
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = run_cli("simulate", "--config", cfg, "--out", str(out),
+                       env=env)
+        assert proc.returncode == 0, proc.stderr
+        written.append((out.read_text(),
+                        (tmp_path / f"threads{threads}.trials.csv").read_text()))
+    assert json.loads(written[0][0])["mode"] == "monte-carlo"
+    assert written[0] == written[1]
 
 
 def test_simulate_requires_out(sim_config):

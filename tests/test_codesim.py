@@ -4,6 +4,7 @@ the correction stage, and the soft-covering trend."""
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 from unittest.mock import patch
 
@@ -26,7 +27,7 @@ from ocrate import (
     soft_covering_exact,
 )
 from ocrate import codesim
-from ocrate.codesim import _cdf, _choose_mode, _draw
+from ocrate.codesim import _cdf, _choose_mode, _draw, _letters
 
 PINNED = Path(__file__).parent / "pinned"
 DEMO_CONFIG = Path(__file__).parents[1] / "demos" / "configs" / "simulate.json"
@@ -97,7 +98,7 @@ def test_likelihood_encode_fallback_and_bounds():
     assert not fell_back and 0 <= j < 4
     with pytest.raises(ValueError):
         likelihood_encode(book, ident, np.array([0, 0, 0]), 2, rng)
-    # symbol 2 of a binary channel would read the next row's table
+    # symbol 2 is outside a binary channel's table
     with pytest.raises(ValueError):
         likelihood_encode(book, ident, np.array([0, 2, 0]), 0, rng)
 
@@ -351,13 +352,20 @@ def test_draw_matches_numpy_choice(weights, seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         assert _draw(fast, p) == int(slow.choice(p.size, p=p))
-    # the source-block draw of the Monte-Carlo loop, size n at once
+    # the letter draws of the codebook and the Monte-Carlo source
+    # blocks, size n at once
     for n in (1, 7):
         np.testing.assert_array_equal(
-            _cdf(p).searchsorted(fast.random(n), side="right"),
+            _letters(_cdf(p), fast.random(n), np.empty(n, dtype=np.intp)),
             slow.choice(p.size, size=n, p=p))
     # both used the same uniforms
     assert fast.random() == slow.random()
+    # uniforms on the CDF steps themselves hit the comparison's edge
+    cdf = _cdf(p)
+    edges = np.append(cdf[cdf < 1.0], 0.0)
+    np.testing.assert_array_equal(
+        _letters(cdf, edges, np.empty(edges.size, dtype=np.int8)),
+        cdf.searchsorted(edges, side="right"))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -380,6 +388,64 @@ def test_codebook_slices_match_numpy_choice(weights, num_j, num_k, n,
     slow = codesim._stream(seed, codesim._STREAM_CODEBOOK)
     np.testing.assert_array_equal(
         book, slow.choice(p.size, size=book.shape, p=p))
+
+
+@pytest.mark.parametrize("nu, nx, ny, n, r, rc, dtype", [
+    # a letter times n passes 127 (int8) and then 32767 (int16): index
+    # arithmetic on the entries themselves would wrap
+    (3, 2, 2, 100, 0.05, 0.02, np.int8),
+    (141, 100, 40, 240, 0.02, 0.01, np.int16),
+])
+def test_wide_index_alphabet(nu, nx, ny, n, r, rc, dtype):
+    """The codebook takes the smallest signed dtype that holds the index
+    alphabet, with the values of one rng.choice, and a Monte-Carlo run
+    on it picks every j of a per-trial loop of the plain encoder."""
+    gen = np.random.default_rng(nu)
+    p = gen.dirichlet(np.ones(nu))
+    triple = MarkovTriple(Pmf(p), Channel(gen.dirichlet(np.ones(nx), nu)),
+                          Channel(gen.dirichlet(np.ones(ny), nu)))
+    book = generate_codebook(triple, n, r, rc, seed=5)
+    assert book.dtype == dtype
+    slow = codesim._stream(5, codesim._STREAM_CODEBOOK)
+    np.testing.assert_array_equal(
+        book, slow.choice(nu, size=book.shape, p=triple.weights.probs))
+    cfg = SimConfig(triple=triple, rho=DistortionMatrix(gen.random((nx, ny))),
+                    n=n, r=r, rc=rc, trials=20, seed=5, correction=False,
+                    mode="monte-carlo")
+    rep = run_simulation(cfg)
+    assert (rep.num_j, rep.num_k) == book.shape[:2]
+    with patch.object(codesim, "_trial_loop", partial(
+            _per_trial_loop, encode=_reference_encode)):
+        assert run_simulation(cfg).to_dict() == rep.to_dict()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 30),
+       st.integers(1, 9), st.integers(1, 12), st.integers(1, 64),
+       st.integers(0, 2 ** 32 - 1))
+def test_scores_match_per_codeword_loop(nu, nx, num_j, n, trials,
+                                        slice_cells, seed):
+    """_scores, built in one-hot j-slices of at most slice_cells cells
+    (at least one word), is -inf exactly where a letter of the word has
+    zero likelihood, and otherwise the sum of the letters' logs to
+    round-off."""
+    gen = np.random.default_rng(seed)
+    chan = _zero_rich_channel(gen, nu, nx)
+    words = gen.integers(nu, size=(num_j, n)).astype(
+        np.min_scalar_type(-nu))
+    blocks = gen.integers(nx, size=(trials, n))
+    with patch.object(codesim, "_CODEBOOK_SLICE", slice_cells):
+        got = codesim._scores(chan.log_rows, blocks, words)
+    assert got.shape == (trials, num_j)
+    for b in range(trials):
+        for j in range(num_j):
+            probs = [float(chan.rows[words[j, i], blocks[b, i]])
+                     for i in range(n)]
+            if min(probs) == 0.0:
+                assert got[b, j] == -np.inf
+            else:
+                want = math.fsum(math.log(q) for q in probs)
+                assert abs(got[b, j] - want) <= 1e-12 * abs(want)
 
 
 def _reference_encode(codebook, x_given_u, x_block, k, rng):
@@ -417,18 +483,17 @@ def test_likelihood_encode_matches_reference(nu, nx, num_j, num_k, n, seed):
         assert fast.random() == slow.random()
 
 
-def _per_trial_loop(cfg, codebook, num_j, num_k):
-    """The Monte-Carlo trial loop one trial at a time: per-trial
-    likelihood_encode and a decoder that draws its own uniforms, in the
-    order source block, k, j, output block."""
+def _per_trial_loop(cfg, codebook, num_j, num_k, encode=likelihood_encode):
+    """The Monte-Carlo trial loop one trial at a time: a per-trial
+    encode (likelihood_encode by default) and a decoder that draws its
+    own uniforms, in the order source block, k, j, output block."""
     rng = codesim._stream(cfg.seed, codesim._STREAM_TRIALS)
     cdf = _cdf(cfg.triple.induced_x().probs)
     rows = []
     for _ in range(cfg.trials):
         x = cdf.searchsorted(rng.random(cfg.n), side="right")
         k = int(rng.integers(num_k))
-        j, fell_back = likelihood_encode(codebook, cfg.triple.x_given_u, x,
-                                         k, rng)
+        j, fell_back = encode(codebook, cfg.triple.x_given_u, x, k, rng)
         cdfs = cfg.triple.y_given_u.row_cdfs[codebook[j, k]]
         y = np.minimum((rng.random((cfg.n, 1)) > cdfs).sum(axis=1),
                        cdfs.shape[1] - 1)
@@ -478,6 +543,37 @@ def test_monte_carlo_loop_matches_with_fallbacks_and_small_batches():
     assert rep.num_j * cfg.n > 40
     with patch.object(codesim, "_trial_loop", _per_trial_loop):
         assert run_simulation(cfg).to_dict() == rep.to_dict()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 14),
+       st.sampled_from([0.2, 0.5]), st.sampled_from([0.0, 0.3]),
+       st.integers(1, 120), st.booleans(), st.sampled_from([1, 7, 64]),
+       st.sampled_from([1, 40]), st.integers(0, 2 ** 32 - 1))
+def test_sliced_scoring_picks_the_unsliced_j(nu, nx, n, r, rc, trials, zeros,
+                                             slice_cells, score_cells, seed):
+    """The trial loop with one-hot j-slices of a few cells and small
+    batches returns what it returns with one slice per column and one
+    batch per column, on channels with and without zero entries."""
+    gen = np.random.default_rng(seed)
+    weights = gen.random(nu) + 0.05
+    x_rows = (_zero_rich_channel(gen, nu, nx).rows if zeros
+              else gen.dirichlet(np.ones(nx), nu))
+    triple = MarkovTriple(Pmf(weights / weights.sum()), Channel(x_rows),
+                          _zero_rich_channel(gen, nu, nx))
+    cfg = SimConfig(triple=triple, rho=DistortionMatrix(gen.random((nx, nx))),
+                    n=n, r=r, rc=rc, trials=trials, seed=seed,
+                    mode="monte-carlo")
+    book = generate_codebook(triple, n, r, rc, seed)
+    num_j, num_k = book.shape[:2]
+    with patch.object(codesim, "_CODEBOOK_SLICE", slice_cells), \
+            patch.object(codesim, "_SCORE_CELLS", score_cells):
+        got = codesim._trial_loop(cfg, book, num_j, num_k)
+    with patch.object(codesim, "_CODEBOOK_SLICE", 2 ** 62), \
+            patch.object(codesim, "_SCORE_CELLS", 2 ** 62):
+        want = codesim._trial_loop(cfg, book, num_j, num_k)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_dense_codebook_covers_output():
