@@ -17,7 +17,8 @@ This module computes the extreme points of that region:
   binary pair (the common-information value of a doubly symmetric
   binary source).
 * bsc_boundary / gaussian_boundary: full (rc, r) trade-off curves for
-  the symmetric binary and scalar Gaussian families.
+  the symmetric binary and scalar Gaussian families; each solves its
+  whole rc grid at once, by one elementwise bisection.
 * det_decoder_min_rate / empirical_region_min_rate: the two variation
   regions (decoder forced deterministic; constraint weakened to the
   empirical output histogram).
@@ -41,6 +42,7 @@ from .info import (
     DomainError,
     JointPmf,
     Pmf,
+    _xlog2x,
     binary_entropy,
     entropy,
     mutual_information,
@@ -65,23 +67,26 @@ class ConstraintViolation(ValueError):
     """A candidate triple fails the marginal or distortion constraints."""
 
 
-def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
-    """Root of a nondecreasing function by plain bisection.
+def _bisect(f, lo: np.ndarray, hi: np.ndarray,
+            tol: float = BISECT_TOL) -> np.ndarray:
+    """Elementwise roots of nondecreasing functions by plain bisection.
 
-    Assumes f(lo) <= 0 <= f(hi); infinities at the endpoints are fine.
+    lo and hi are float arrays of one shape, and f maps an array of
+    points of that shape to the values of each element's function. An
+    element returns lo where f(lo) > 0, hi where f(hi) < 0, and
+    otherwise the midpoint of a bracket no wider than tol; infinities
+    at the endpoints are fine.
     """
-    flo = f(lo)
-    if flo > 0.0:
-        return lo
-    if f(hi) < 0.0:
-        return hi
-    while hi - lo > tol:
+    below, above = f(lo) > 0.0, f(hi) < 0.0
+    ends = np.where(below, lo, hi)
+    active = ~below & ~above & (hi - lo > tol)
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        step_up = f(mid) <= 0.0
+        lo = np.where(active & step_up, mid, lo)
+        hi = np.where(active & ~step_up, mid, hi)
+        active &= hi - lo > tol
+    return np.where(below | above, ends, 0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +380,21 @@ def c0_bsc(d: float) -> float:
     return wyner_bsc(d)
 
 
-def _bsc_split(d: float, rc: float) -> tuple[float, float]:
-    """Crossovers (a1, a2) of the two-stage symmetric binary coupling
-    whose rates solve 1 - h(a1) = 1 - h(a2) - rc at total crossover d."""
-    a_star = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * d))
-    hd = binary_entropy(d)
-    if rc <= 0.0:
-        return a_star, a_star
-    if rc >= hd:
-        return d, 0.0
+def _h2(p: np.ndarray) -> np.ndarray:
+    # elementwise binary entropy, bit for bit binary_entropy on [0, 1]
+    return -(_xlog2x(p) + _xlog2x(1.0 - p))
 
-    def imbalance(a1: float) -> float:
-        a2 = (d - a1) / (1.0 - 2.0 * a1)
-        return binary_entropy(a1) - binary_entropy(a2) - rc
 
-    a1 = _bisect(imbalance, a_star, d)
-    a2 = (d - a1) / (1.0 - 2.0 * a1)
-    return a1, min(max(a2, 0.0), a_star)
+def _grid(rc_grid) -> np.ndarray:
+    rc = np.asarray(rc_grid, dtype=float)
+    if not np.all(rc >= 0.0):
+        raise DomainError("rc values must be >= 0")
+    return rc
+
+
+def _curve(d: float, rc: np.ndarray, r: np.ndarray) -> RegionCurve:
+    return RegionCurve(d, tuple(RatePoint(float(c), float(v))
+                                for c, v in zip(rc, r)), "main-inner")
 
 
 def bsc_boundary(d: float, rc_grid) -> RegionCurve:
@@ -400,16 +403,21 @@ def bsc_boundary(d: float, rc_grid) -> RegionCurve:
 
     Valid for 0 < d < 1/2 and rc >= 0; rc at or beyond h(d) sits on the
     plateau r_min = 1 - h(d). The rc grid must be strictly increasing.
+    The whole grid is solved at once: one elementwise bisection finds,
+    for every rc, the crossovers (a1, a2) of the two-stage symmetric
+    coupling with total crossover d and h(a1) - h(a2) = rc.
     """
     if not 0.0 < d < 0.5:
         raise DomainError("distortion must lie strictly inside (0, 1/2)")
-    pts = []
-    for rc in np.asarray(rc_grid, dtype=float):
-        if math.isnan(rc) or rc < 0.0:
-            raise DomainError("rc values must be >= 0")
-        a1, _ = _bsc_split(d, min(rc, binary_entropy(d)))
-        pts.append(RatePoint(float(rc), 1.0 - binary_entropy(a1)))
-    return RegionCurve(d, tuple(pts), "main-inner")
+    rc = _grid(rc_grid)
+    a_star = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * d))
+
+    def imbalance(a1: np.ndarray) -> np.ndarray:
+        return _h2(a1) - _h2((d - a1) / (1.0 - 2.0 * a1)) - rc
+
+    a1 = _bisect(imbalance, np.full(rc.shape, a_star), np.full(rc.shape, d))
+    a1 = np.where(rc <= 0.0, a_star, np.where(rc >= binary_entropy(d), d, a1))
+    return _curve(d, rc, 1.0 - _h2(a1))
 
 
 # ---------------------------------------------------------------------------
@@ -428,48 +436,36 @@ def gaussian_mmi(spec: GaussianSpec) -> float:
     return -0.5 * math.log2(1.0 - r * r)
 
 
-def _gaussian_rate(spec: GaussianSpec, rc: float) -> float:
-    sx2 = spec.sigma_x ** 2
-    sy2 = spec.sigma_y ** 2
-    s = sx2 + sy2 - spec.d
-    if s <= 0.0:
-        return 0.0
-    if s / (2.0 * spec.sigma_x * spec.sigma_y) >= 1.0:
-        return INF
-    if math.isinf(rc):
-        return gaussian_mmi(spec)
-
-    def info_x(a: float) -> float:
-        t = 1.0 - a * a * sx2
-        return INF if t <= 0.0 else -0.5 * math.log2(t)
-
-    def info_y(b: float) -> float:
-        t = 1.0 - b * b / sy2
-        return INF if t <= 0.0 else -0.5 * math.log2(t)
-
-    a_lo = s / (2.0 * sx2 * spec.sigma_y)
-    a_hi = 1.0 / spec.sigma_x
-
-    def imbalance(a: float) -> float:
-        b = s / (2.0 * a * sx2)
-        return info_x(a) - info_y(b) + rc
-
-    a = _bisect(imbalance, a_lo, a_hi)
-    return info_x(a)
-
-
 def gaussian_boundary(spec: GaussianSpec, rc_grid) -> RegionCurve:
     """Boundary r_min(rc) for the scalar Gaussian pair.
 
     The grid must be strictly increasing; math.inf is allowed as the
-    final entry and maps to the unlimited-shared-randomness floor.
+    final entry and maps to the unlimited-shared-randomness floor. The
+    finite entries are solved at once by one elementwise bisection.
     """
-    pts = []
-    for rc in np.asarray(rc_grid, dtype=float):
-        if math.isnan(rc) or rc < 0.0:
-            raise DomainError("rc values must be >= 0")
-        pts.append(RatePoint(float(rc), _gaussian_rate(spec, float(rc))))
-    return RegionCurve(spec.d, tuple(pts), "main-inner")
+    rc = _grid(rc_grid)
+    sx2 = spec.sigma_x ** 2
+    sy2 = spec.sigma_y ** 2
+    s = sx2 + sy2 - spec.d
+    if s <= 0.0:
+        return _curve(spec.d, rc, np.zeros(rc.shape))
+    if s / (2.0 * spec.sigma_x * spec.sigma_y) >= 1.0:
+        return _curve(spec.d, rc, np.full(rc.shape, INF))
+    finite = np.isfinite(rc)
+    budget = np.where(finite, rc, 0.0)
+
+    def info(t: np.ndarray) -> np.ndarray:
+        # -1/2 log2(t), +inf where t <= 0
+        return -0.5 * np.log2(t, out=np.full(t.shape, -INF), where=t > 0.0)
+
+    def imbalance(a: np.ndarray) -> np.ndarray:
+        b = s / (2.0 * a * sx2)
+        return info(1.0 - a * a * sx2) - info(1.0 - b * b / sy2) + budget
+
+    a = _bisect(imbalance, np.full(rc.shape, s / (2.0 * sx2 * spec.sigma_y)),
+                np.full(rc.shape, 1.0 / spec.sigma_x))
+    return _curve(spec.d, rc, np.where(finite, info(1.0 - a * a * sx2),
+                                       gaussian_mmi(spec)))
 
 
 # ---------------------------------------------------------------------------

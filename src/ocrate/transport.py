@@ -63,16 +63,14 @@ class Coupling:
         return self.table.sum(axis=0)
 
     def conditional_rows(self) -> np.ndarray:
-        """Rows P(y | x); zero-mass rows fall back to the target marginal."""
-        rows = self.table.copy()
-        sums = rows.sum(axis=1)
+        """Rows P(y | x); zero-mass rows fall back to the target marginal,
+        or to the uniform law when the table has no mass."""
+        sums = self.table.sum(axis=1, keepdims=True)
         target = self.target_marginal()
         total = target.sum()
-        for i in range(rows.shape[0]):
-            if sums[i] > 0.0:
-                rows[i] /= sums[i]
-            else:
-                rows[i] = target / total if total > 0 else 1.0 / rows.shape[1]
+        mass = sums > 0.0
+        rows = self.table / np.where(mass, sums, 1.0)
+        rows[~mass[:, 0]] = target / total if total > 0 else 1.0 / target.size
         return rows
 
 

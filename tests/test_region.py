@@ -31,7 +31,8 @@ from ocrate import (
     total_variation,
     wyner_bsc,
 )
-from ocrate.region import _i0_constraints, _repair_triple, _snap_channel
+from ocrate.region import (BISECT_TOL, _bisect, _i0_constraints,
+                           _repair_triple, _snap_channel)
 from ocrate.transport import TransportProblem, solve_ot
 from oracles import (grid_mmi_3x3, mmi_dual_lower_bound,
                      ot_vertex_enumeration, random_mmi_instance)
@@ -301,6 +302,105 @@ def test_gaussian_perfect_reconstruction_rate_is_infinite():
     # correlation coefficient 1 the information diverges
     spec = GaussianSpec(1.0, 2.0, 1.0)
     assert math.isinf(gaussian_mmi(spec))
+
+
+# ---------------------------------------------------------------------------
+# whole-grid curves: one elementwise bisection per curve
+
+
+def _scalar_bisect(f, lo, hi, tol=BISECT_TOL):
+    # plain bisection on one bracket, the reference for each element
+    if f(lo) > 0.0:
+        return lo
+    if f(hi) < 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_array_bisect_matches_scalar_bisect_per_element():
+    # per element: f(lo) > 0, f(hi) < 0, interior roots, a root at lo,
+    # -inf at lo, +inf at hi, both, a root past an infinite hi, and a
+    # bracket already narrower than the tolerance
+    root = np.array([-0.5, 1.5, 0.3, 1 / 3, 0.0, 0.7, 2.5, 0.5, 5.0, 0.5])
+    lo = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.5])
+    hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 0.5 + 1e-11])
+    inf_lo = np.array([0, 0, 0, 0, 0, 1, 0, 1, 0, 0], dtype=bool)
+    inf_hi = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 0], dtype=bool)
+
+    def value(x, i=slice(None)):
+        at_inf = np.where(inf_hi[i] & (x == hi[i]), np.inf, x - root[i])
+        return np.where(inf_lo[i] & (x == lo[i]), -np.inf, at_inf)
+
+    lo_in, hi_in = lo.copy(), hi.copy()
+    got = _bisect(value, lo, hi)
+    want = [_scalar_bisect(lambda x, i=i: float(value(x, i)), lo[i], hi[i])
+            for i in range(root.size)]
+    assert np.array_equal(got, want)
+    assert got[0] == lo[0] and got[1] == hi[1]
+    for i in (2, 3, 4, 5, 6, 7):
+        assert abs(got[i] - root[i]) <= BISECT_TOL
+    assert hi[8] - got[8] <= BISECT_TOL
+    assert got[9] == 0.5 * (lo[9] + hi[9])
+    # the brackets passed in are not written to
+    assert np.array_equal(lo, lo_in) and np.array_equal(hi, hi_in)
+
+
+def _increasing(values):
+    return np.unique(np.asarray(values, dtype=float))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(1e-4, 0.4999),
+       st.lists(st.floats(0.0, 2.0), min_size=1, max_size=25))
+def test_bsc_grid_equals_its_points(d, fractions):
+    h = binary_entropy(d)
+    grid = _increasing([0.0, h, 2.0 * h + 0.1] + [h * f for f in fractions])
+    rates = bsc_boundary(d, grid).rates()
+    assert np.array_equal(rates[:, 0], grid)
+    for rc, r in rates:
+        assert bsc_boundary(d, [rc]).rates()[0, 1] == r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.0, 1.2),
+       st.lists(st.floats(0.0, 6.0), min_size=1, max_size=25))
+def test_gaussian_grid_equals_its_points(sx, sy, share, points):
+    gap = (sx - sy) ** 2
+    spec = GaussianSpec(sx, sy, gap + share * (sx * sx + sy * sy - gap))
+    grid = np.append(_increasing([0.0] + points), math.inf)
+    rates = gaussian_boundary(spec, grid).rates()
+    assert np.array_equal(rates[:, 0], grid)
+    assert rates[-1, 1] == gaussian_mmi(spec)
+    for rc, r in rates:
+        assert gaussian_boundary(spec, [rc]).rates()[0, 1] == r
+
+
+@pytest.mark.parametrize("curve", [
+    lambda grid: bsc_boundary(0.25, grid),
+    lambda grid: gaussian_boundary(GaussianSpec(1.0, 1.5, 0.8), grid),
+    # the two Gaussian cases that return before any bisection
+    lambda grid: gaussian_boundary(GaussianSpec(1.0, 1.0, 2.0), grid),
+    lambda grid: gaussian_boundary(GaussianSpec(1.0, 2.0, 1.0), grid),
+])
+def test_curve_grid_edge_cases(curve):
+    with pytest.raises(ValueError) as empty:
+        curve([])
+    assert not isinstance(empty.value, DomainError)
+    with pytest.raises(ValueError) as reversed_grid:
+        curve([0.5, 0.1])
+    assert not isinstance(reversed_grid.value, DomainError)
+    # a bad rc is a domain error wherever it sits, also in a grid that
+    # is not increasing
+    for grid in ([math.nan], [0.0, math.nan, 1.0], [-0.1], [0.2, -1e-300],
+                 [-math.inf], [0.5, math.nan, 0.1]):
+        with pytest.raises(DomainError):
+            curve(grid)
 
 
 # ---------------------------------------------------------------------------

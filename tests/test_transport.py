@@ -160,6 +160,33 @@ def test_conditional_sampler_errors():
         sample_coupling_conditional(zero_row, 1, rng)
 
 
+def _rows_by_loop(table):
+    # the reference: one row at a time
+    rows = table.copy()
+    target = table.sum(axis=0)
+    for i, total in enumerate(table.sum(axis=1)):
+        if total > 0.0:
+            rows[i] /= total
+        elif target.sum() > 0:
+            rows[i] = target / target.sum()
+        else:
+            rows[i] = 1.0 / table.shape[1]
+    return rows
+
+
+def test_conditional_rows_match_a_row_loop():
+    rng = np.random.default_rng(11)
+    for m, n in ((1, 1), (3, 2), (7, 5), (256, 16)):
+        table = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        table[rng.random(m) < 0.3] = 0.0
+        table[:, rng.random(n) < 0.2] = 0.0
+        for t in (table, np.zeros((m, n))):
+            rows = Coupling(table=t, cost=0.0).conditional_rows()
+            assert rows.dtype == np.float64
+            assert np.array_equal(rows, _rows_by_loop(t))
+            assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_optimal_face_clears_traces_and_keeps_only_used_cells():
     # a trace of mass on the off-diagonal of the binary Hamming pair
     # goes back onto the diagonal, the only optimal cells
