@@ -23,10 +23,7 @@ from .info import (
 )
 from .transport import (
     Coupling,
-    MonotoneMap,
     TransportProblem,
-    monotone_coupling_quadratic,
-    sample_coupling_conditional,
     solve_ot,
 )
 from .region import (

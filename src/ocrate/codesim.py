@@ -373,22 +373,49 @@ def mixture_output_law(codewords: np.ndarray, channel: Channel,
     """Exact law of a block emitted by first picking one of the given
     codewords uniformly, then passing it through the channel
     memorylessly. Blocks are indexed lexicographically, first symbol
-    most significant."""
+    most significant.
+
+    The law is folded over shared codeword prefixes. The codewords are
+    sorted, duplicates become counts, and from the last position to the
+    first each distinct prefix p keeps the tensor
+    T_p = sum_v W[v] (x) T_{p.v} over its extensions, so a prefix
+    shared by many codewords is multiplied out once. Distinct prefixes
+    never outnumber the codewords, so the work never exceeds one
+    Kronecker product per codeword. The distinct words are folded in
+    chunks of at most max(1, _CHUNK_WORK // |Y|^n) words, so no tensor
+    has more than max(_CHUNK_WORK, |Y|^n) cells."""
     codewords = np.atleast_2d(codewords)
     m, n = codewords.shape
     ny = channel.output_size
     num_blocks = ny ** n
     if num_blocks > cap:
         raise CapExceeded(f"{ny}^{n} output blocks exceed cap {cap}")
+    words = codewords[np.lexsort(codewords.T[::-1])]
+    # first position where each word differs from the one before it:
+    # -1 for the first word, n for a repeat, which the counts absorb
+    differs = words[1:] != words[:-1]
+    first_diff = np.concatenate(([-1], np.where(
+        differs.any(axis=1), differs.argmax(axis=1), n)))
+    distinct = np.flatnonzero(first_diff < n)
+    counts = np.diff(np.append(distinct, m)).astype(float)
+    words, first_diff = words[distinct], first_diff[distinct]
     law = np.zeros(num_blocks)
     chunk = max(1, _CHUNK_WORK // num_blocks)
-    for lo in range(0, m, chunk):
-        rows = channel.rows[codewords[lo:lo + chunk]]   # (c, n, ny)
-        block = rows[:, 0, :]
-        for i in range(1, n):
-            block = (block[:, :, None] * rows[:, i, None, :]
-                     ).reshape(block.shape[0], -1)
-        law += block.sum(axis=0)
+    for lo in range(0, words.shape[0], chunk):
+        # heads[g] is the first word of the g-th distinct prefix of the
+        # current length; a chunk's first word heads every prefix
+        heads = np.arange(lo, min(lo + chunk, words.shape[0]))
+        fold = counts[heads, None]
+        starts = first_diff[heads]
+        starts[0] = -1
+        for p in range(n - 1, -1, -1):
+            rows = channel.rows[words[heads, p]]          # (g, ny)
+            fold = (rows[:, :, None] * fold[:, None, :]
+                    ).reshape(heads.size, -1)
+            keep = np.flatnonzero(starts < p)
+            fold = np.add.reduceat(fold, keep, axis=0)
+            heads, starts = heads[keep], starts[keep]
+        law += fold[0]
     return law / m
 
 

@@ -1,5 +1,4 @@
-"""Optimal transport between finite distributions, plus scalar
-monotone couplings for quadratic cost.
+"""Optimal transport between finite distributions.
 
 The discrete solver is exact: it hands the transportation LP to the
 HiGHS dual simplex (a vertex-following method, deterministic for a
@@ -15,7 +14,6 @@ degenerate marginals are fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -241,82 +239,3 @@ def optimal_face(plan: np.ndarray,
     for k in range(dist.shape[0]):
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
     return plan, costs + dist[m:, :m].T <= COST_SLACK
-
-
-def sample_coupling_conditional(coupling: Coupling, x: int,
-                                rng: np.random.Generator,
-                                size: int | None = None):
-    """Draw y from the coupling's conditional row given x.
-
-    Returns a scalar index when size is None, else an array of draws.
-    """
-    table = coupling.table
-    if not 0 <= x < table.shape[0]:
-        raise ValueError(f"conditioning symbol {x} out of range")
-    row = table[x]
-    mass = row.sum()
-    if mass <= 0.0:
-        raise ValueError(f"conditioning symbol {x} has zero probability")
-    draws = rng.choice(table.shape[1], size=size, p=row / mass)
-    return int(draws) if size is None else draws
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    """Nondecreasing transport map between two scalar laws given by
-    their quantile functions, with expected quadratic cost attached.
-
-    The map sends x to target_quantile(u) where u solves
-    source_quantile(u) = x; the cost is the quantile-coupling value
-    integral_0^1 (Qs(u) - Qt(u))^2 du from a midpoint rule.
-    """
-
-    source_quantile: Callable[[float], float]
-    target_quantile: Callable[[float], float]
-    expected_cost: float
-    grid: int
-
-    def __call__(self, x: float) -> float:
-        lo, hi = 1e-12, 1.0 - 1e-12
-        if self.source_quantile(lo) >= x:
-            return float(self.target_quantile(lo))
-        if self.source_quantile(hi) <= x:
-            return float(self.target_quantile(hi))
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.source_quantile(mid) <= x:
-                lo = mid
-            else:
-                hi = mid
-        return float(self.target_quantile(0.5 * (lo + hi)))
-
-
-def _eval_quantile(q: Callable, levels: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(q(levels), dtype=float)
-        if vals.shape != levels.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(q(u)) for u in levels])
-    return vals
-
-
-def monotone_coupling_quadratic(source_quantile: Callable,
-                                target_quantile: Callable,
-                                grid: int = 100_000) -> MonotoneMap:
-    """Comonotone coupling of two scalar laws under squared distance.
-
-    Both arguments are quantile functions on (0, 1) and must be
-    nondecreasing; the cost integral uses a midpoint rule on `grid`
-    uniformly spaced levels.
-    """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    levels = (np.arange(grid) + 0.5) / grid
-    qs = _eval_quantile(source_quantile, levels)
-    qt = _eval_quantile(target_quantile, levels)
-    for name, vals in (("source", qs), ("target", qt)):
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError(f"{name} quantile function is not nondecreasing")
-    cost = float(np.mean((qs - qt) ** 2))
-    return MonotoneMap(source_quantile, target_quantile, cost, grid)

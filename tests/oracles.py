@@ -203,3 +203,17 @@ def mmi_dual_lower_bound(mu, psi, rho, d, sweeps=5_000, steps=60):
         else:
             hi = mid
     return best
+
+
+def mixture_law_by_loop(codewords, rows):
+    """Law of a block from a uniformly chosen codeword sent through the
+    memoryless channel with the given rows: one Kronecker product per
+    codeword, first symbol most significant."""
+    rows = np.asarray(rows, dtype=float)
+    law = 0.0
+    for word in np.atleast_2d(codewords):
+        block = np.ones(1)
+        for symbol in word:
+            block = np.kron(block, rows[symbol])
+        law = law + block
+    return law / len(np.atleast_2d(codewords))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from ocrate import binary_entropy, c0_bsc
 HAMMING_ROWS = [[0.0, 1.0], [1.0, 0.0]]
 BSC25_ROWS = [[0.75, 0.25], [0.25, 0.75]]
 IDENTITY_ROWS = [[1.0, 0.0], [0.0, 1.0]]
+PINNED = Path(__file__).parent / "pinned"
+DEMO_CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 
 
 def run_cli(*argv, env=None):
@@ -247,6 +250,15 @@ def test_softcover_csv(tmp_path):
                                     "n_values": [1]}, "short.json")
     assert run_cli("softcover", "--config", short).returncode == 1
 
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_softcover_demo_bytes_are_pinned(seed):
+    config = DEMO_CONFIGS / "softcover.json"
+    proc = run_cli("softcover", "--config", str(config), "--seed", str(seed))
+    assert proc.returncode == 0
+    pinned = PINNED / f"softcover_demo_seed{seed}.csv"
+    assert proc.stdout.encode() == pinned.read_bytes()
 
 @pytest.fixture
 def sim_config(tmp_path):

@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ocrate import (
     CapExceeded,
@@ -28,6 +28,7 @@ from ocrate import (
 )
 from ocrate import codesim
 from ocrate.codesim import _cdf, _choose_mode, _draw, _letters
+from oracles import mixture_law_by_loop
 
 PINNED = Path(__file__).parent / "pinned"
 DEMO_CONFIG = Path(__file__).parents[1] / "demos" / "configs" / "simulate.json"
@@ -180,6 +181,31 @@ def test_mixture_output_law_hand_values():
 
     with pytest.raises(CapExceeded):
         mixture_output_law(np.zeros((1, 4), dtype=np.int64), chan, cap=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 40), st.integers(0, 3),
+       st.sampled_from([1, 7, 64, None]), st.integers(0, 2 ** 32 - 1))
+@example(2, 2, 1, 1, 0, None, 0).via("n = 1, m = 1")
+def test_mixture_output_law_matches_a_product_per_codeword(
+        nv, ny, n, m, repeats, chunk_work, seed):
+    """The prefix fold equals the plain sum of one Kronecker product per
+    codeword, with repeated codewords, channels with zero entries, |V|
+    and |Y| apart, and codebooks folded in several chunks."""
+    gen = np.random.default_rng(seed)
+    chan = _zero_rich_channel(gen, nv, ny)
+    words = gen.integers(nv, size=(m, n))
+    words = np.concatenate([words, words[gen.integers(m, size=repeats)]])
+    gen.shuffle(words)
+    if chunk_work is None:
+        law = mixture_output_law(words, chan)
+    else:
+        with patch.object(codesim, "_CHUNK_WORK", chunk_work):
+            law = mixture_output_law(words, chan)
+    assert law.shape == (ny ** n,)
+    assert np.max(np.abs(law - mixture_law_by_loop(words, chan.rows))) <= 1e-15
+    assert abs(law.sum() - 1.0) <= 1e-12
 
 
 def test_soft_covering_edge_cases():

@@ -1,8 +1,7 @@
-"""Finite OT solver, monotone scalar couplings, conditional sampling."""
+"""Finite OT solver, optimal faces and conditional rows."""
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from ocrate import (
     CapExceeded,
@@ -13,9 +12,7 @@ from ocrate import (
 from ocrate.transport import (
     Coupling,
     TransportProblem,
-    monotone_coupling_quadratic,
     optimal_face,
-    sample_coupling_conditional,
     solve_ot,
 )
 from oracles import ot_vertex_enumeration
@@ -135,29 +132,8 @@ def test_side_cap():
         solve_ot(TransportProblem(p, p, np.zeros((n, n))))
 
 
-def test_conditional_sampler_frequencies():
-    table = np.array([[0.4, 0.3], [0.0, 0.3]])
-    coupling = Coupling(table=table, cost=float(np.sum(table * _hamming(2))))
-    rng = np.random.default_rng(5)
-    draws = sample_coupling_conditional(coupling, 0, rng, size=1_000_000)
-    p_hat = np.mean(draws == 1)
-    p_true = 0.3 / 0.7
-    sigma = np.sqrt(p_true * (1 - p_true) / 1_000_000)
-    assert abs(p_hat - p_true) <= 3 * sigma
-    # x=1 row is deterministic
-    ones = sample_coupling_conditional(coupling, 1, rng, size=100)
-    assert np.all(ones == 1)
 
 
-def test_conditional_sampler_errors():
-    coupling = solve_ot(TransportProblem(
-        Pmf(np.array([0.5, 0.5])), Pmf(np.array([0.5, 0.5])), _hamming(2)))
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_coupling_conditional(coupling, 7, rng)
-    zero_row = Coupling(table=np.array([[1.0, 0.0], [0.0, 0.0]]), cost=0.0)
-    with pytest.raises(ValueError):
-        sample_coupling_conditional(zero_row, 1, rng)
 
 
 def _rows_by_loop(table):
@@ -200,29 +176,3 @@ def test_optimal_face_clears_traces_and_keeps_only_used_cells():
     costs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     _, face = optimal_face(np.diag(quarter), costs)
     assert np.array_equal(face, costs == 0.0)
-
-
-def test_monotone_identity_map():
-    m = monotone_coupling_quadratic(norm.ppf, norm.ppf)
-    assert m.expected_cost == pytest.approx(0.0, abs=1e-12)
-    assert m(0.7) == pytest.approx(0.7, abs=1e-9)
-
-
-def test_monotone_gaussian_dilation():
-    m = monotone_coupling_quadratic(norm.ppf, lambda u: 2.0 * norm.ppf(u))
-    # closed form (sigma - 1)^2 E[X^2] = 1; the quadrature truncates
-    # the tails at mass 1/(2 grid), good to about 1e-3 here
-    assert m.expected_cost == pytest.approx(1.0, abs=1e-3)
-    assert m(1.3) == pytest.approx(2.6, abs=1e-9)
-    assert m(-0.4) == pytest.approx(-0.8, abs=1e-9)
-
-
-def test_monotone_uniform_stretch():
-    m = monotone_coupling_quadratic(lambda u: u, lambda u: 2.0 * u)
-    assert m.expected_cost == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert m(0.25) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_monotone_rejects_decreasing_quantile():
-    with pytest.raises(ValueError):
-        monotone_coupling_quadratic(lambda u: -u, lambda u: u)
