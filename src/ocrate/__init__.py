@@ -10,13 +10,7 @@ from .info import (
     Pmf,
     all_blocks,
     binary_entropy,
-    block_index,
-    block_of_index,
-    conditional_entropy,
-    conditional_entropy_grouping,
-    empirical_pmf,
     entropy,
-    kl_divergence,
     mutual_information,
     product_extension,
     total_variation,

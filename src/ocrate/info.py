@@ -225,17 +225,6 @@ def entropy(p: Pmf | np.ndarray) -> float:
     return float(-_xlog2x(arr).sum())
 
 
-def kl_divergence(p: Pmf, q: Pmf) -> float:
-    """Relative entropy D(p || q) in bits; +inf off the support of q."""
-    if p.size != q.size:
-        raise ValueError("pmf sizes differ")
-    pp, qq = p.probs, q.probs
-    if np.any((pp > 0.0) & (qq == 0.0)):
-        return float("inf")
-    mask = pp > 0.0
-    return float(np.sum(pp[mask] * np.log2(pp[mask] / qq[mask])))
-
-
 def mutual_information(joint: JointPmf) -> float:
     """I(X;Y) in bits for a joint table."""
     t = joint.table
@@ -249,12 +238,6 @@ def mutual_information(joint: JointPmf) -> float:
     return 0.0 if val < 1e-12 else val
 
 
-def conditional_entropy(joint: JointPmf) -> float:
-    """H(Y|X) in bits."""
-    t = joint.table
-    return float(-_xlog2x(t).sum() + _xlog2x(t.sum(axis=1)).sum())
-
-
 def total_variation(p: Pmf | np.ndarray, q: Pmf | np.ndarray) -> float:
     """Total variation distance, (1/2) sum |p - q|."""
     pa = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
@@ -264,22 +247,11 @@ def total_variation(p: Pmf | np.ndarray, q: Pmf | np.ndarray) -> float:
     return float(0.5 * np.abs(pa - qa).sum())
 
 
-def empirical_pmf(samples: np.ndarray, size: int) -> Pmf:
-    """Empirical distribution of integer samples over {0, ..., size-1}."""
-    samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ValueError("no samples")
-    counts = np.bincount(samples.ravel(), minlength=size)
-    if counts.size > size:
-        raise ValueError("sample outside the alphabet")
-    return Pmf(counts / counts.sum())
-
-
 def product_extension(p: Pmf, n: int, cap: int = DEFAULT_BLOCK_CAP) -> Pmf:
     """IID n-fold product law over blocks, lexicographic block index.
 
     The first symbol of the block is the most significant digit of the
-    index, matching block_index / block_of_index below.
+    index, matching the row order of all_blocks below.
     """
     if n < 1:
         raise DomainError("block length must be >= 1")
@@ -292,60 +264,9 @@ def product_extension(p: Pmf, n: int, cap: int = DEFAULT_BLOCK_CAP) -> Pmf:
 
 
 def all_blocks(m: int, n: int, cap: int = DEFAULT_BLOCK_CAP) -> np.ndarray:
-    """All length-n blocks over {0..m-1} in lexicographic index order."""
+    """All length-n blocks over {0..m-1}, one per row; row k is the block
+    whose base-m digits, first symbol most significant, spell k."""
     if m ** n > cap:
         raise CapExceeded(f"{m}^{n} block alphabet exceeds cap {cap}")
     grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def block_index(blocks: np.ndarray, m: int) -> np.ndarray:
-    """Lexicographic index of each row, first symbol most significant."""
-    blocks = np.atleast_2d(np.asarray(blocks))
-    n = blocks.shape[1]
-    weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return blocks @ weights
-
-
-def block_of_index(index: int, m: int, n: int) -> np.ndarray:
-    """Inverse of block_index for a single index."""
-    out = np.zeros(n, dtype=np.int64)
-    for pos in range(n - 1, -1, -1):
-        out[pos] = index % m
-        index //= m
-    if index != 0:
-        raise ValueError("index out of range for the block alphabet")
-    return out
-
-
-def conditional_entropy_grouping(joint: JointPmf, tol: float = 1e-9) -> float:
-    """Smallest H(f(Y)|X) over functions f that leave X and Y
-    conditionally independent given f(Y).
-
-    The minimizer merges output symbols whose posterior columns
-    P(x | y) coincide (within tol in sup norm); merging anything else
-    would break the conditional independence requirement, and keeping
-    equal-posterior symbols apart can only raise the entropy.
-    """
-    t = joint.table
-    py = t.sum(axis=0)
-    labels = -np.ones(t.shape[1], dtype=int)
-    reps: list[np.ndarray] = []
-    for y in range(t.shape[1]):
-        if py[y] <= 0.0:
-            # massless symbols never occur; park each in its own class
-            labels[y] = len(reps)
-            reps.append(np.full(t.shape[0], np.nan))
-            continue
-        post = t[:, y] / py[y]
-        for g, rep in enumerate(reps):
-            if np.all(np.isfinite(rep)) and np.max(np.abs(post - rep)) <= tol:
-                labels[y] = g
-                break
-        else:
-            labels[y] = len(reps)
-            reps.append(post)
-    grouped = np.zeros((t.shape[0], len(reps)))
-    for y in range(t.shape[1]):
-        grouped[:, labels[y]] += t[:, y]
-    return conditional_entropy(JointPmf(grouped))

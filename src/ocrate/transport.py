@@ -5,10 +5,16 @@ HiGHS dual simplex (a vertex-following method, deterministic for a
 fixed problem), never an entropic approximation. The m x n problem's
 equality matrix is built directly in CSC form, two entries per column
 (one for the last target symbol, whose redundant constraint is
-dropped), so the memory it takes grows as m * n, not as (m + n) * m * n;
-HiGHS gets the same matrix it would get from the dense array. Zero-mass
-symbols are dropped before the solve and reinserted afterwards so
-degenerate marginals are fine.
+dropped), so the memory it takes grows as m * n, not as (m + n) * m * n.
+Zero-mass symbols are dropped before the solve and reinserted afterwards
+so degenerate marginals are fine.
+
+HiGHS is called through scipy's own binding (`scipy.optimize._highspy`)
+with the options `linprog(method="highs-ds")` would set, presolve off,
+and the result is checked the way `linprog` checks it. `linprog` itself
+is not used: its input handling and result packing cost more than the
+solve on small problems and about half as much again on the 256 x 256
+block problems of the exact simulator.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highspy
 
 from .info import CapExceeded, Pmf
 
@@ -28,6 +33,9 @@ MARGINAL_SLACK = 1e-9
 
 # transport costs within this of each other count as equal
 COST_SLACK = 1e-12
+
+# linprog's post-solve tolerance on bounds and residuals, 10 * sqrt(1e-9)
+PLAN_TOL = 10.0 * np.sqrt(1e-9)
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,33 @@ class Coupling:
         return rows
 
 
+def _highs_options() -> highspy.HighsOptions:
+    opts = highspy.HighsOptions()
+    # HiGHS presolve calls some feasible problems with symbols lighter
+    # than about 1e-8 infeasible
+    opts.presolve = "off"
+    opts.solver = "simplex"
+    opts.simplex_strategy = (
+        highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    opts.highs_debug_level = highspy.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = False
+    opts.log_to_console = False
+    return opts
+
+
+def _check_plan(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
+    """Raise RuntimeError unless the m x n LP solution plan is >= -PLAN_TOL
+    and meets the row sums mu and all column sums of nu but the last
+    (the dropped constraint) within PLAN_TOL. Every comparison is written
+    to fail on NaN."""
+    residual = np.concatenate([plan.sum(axis=1) - mu,
+                               plan.sum(axis=0)[:-1] - nu[:-1]])
+    if not (np.all(plan >= -PLAN_TOL)
+            and np.all(np.abs(residual) <= PLAN_TOL)):
+        raise RuntimeError("transport LP failed: the solution does not "
+                           f"meet the constraints within {PLAN_TOL:.2e}")
+
+
 def _transport_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarray:
     m, n = costs.shape
     # row-sum and column-sum constraints; last column constraint is
@@ -83,19 +118,30 @@ def _transport_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarr
     rows[:, :, 1] = m + np.arange(n)
     keep = np.ones((m, n, 2), dtype=bool)
     keep[:, n - 1, 1] = False
-    starts = np.arange(m * n + 1)
-    a_eq = sparse.csc_array(
-        (np.ones(m * (2 * n - 1)), rows[keep], 2 * starts - starts // n),
-        shape=(m + n - 1, m * n))
+    starts = np.arange(m * n + 1, dtype=np.int32)
     b_eq = np.concatenate([mu, nu[:-1]])
-    # HiGHS presolve calls some feasible problems with symbols lighter
-    # than about 1e-8 infeasible
-    res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds", options={"presolve": False})
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = np.clip(res.x.reshape(m, n), 0.0, None)
-    return plan
+    lp = highspy.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = m * n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + n - 1
+    lp.col_cost_ = costs.ravel()
+    lp.col_lower_ = np.zeros(m * n)
+    lp.col_upper_ = np.full(m * n, highspy.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = 2 * starts - starts // n
+    lp.a_matrix_.index_ = rows[keep]
+    lp.a_matrix_.value_ = np.ones(m * (2 * n - 1))
+    solver = highspy._Highs()
+    solver.passOptions(_highs_options())
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise RuntimeError(
+            f"transport LP failed: {solver.modelStatusToString(status)}")
+    plan = np.array(solver.getSolution().col_value).reshape(m, n)
+    _check_plan(plan, mu, nu)
+    return np.clip(plan, 0.0, None)
 
 
 def repair_marginals(table: np.ndarray, row_target: np.ndarray,
@@ -142,7 +188,12 @@ def solve_ot(problem: TransportProblem) -> Coupling:
     """Exact minimum-cost coupling of the two marginals.
 
     Raises CapExceeded when either side is larger than OT_SIDE_CAP
-    (4096). HiGHS meets the marginals only to its own feasibility
+    (4096). The LP goes straight to the HiGHS dual simplex through
+    scipy's binding, with linprog's "highs-ds" options and presolve off,
+    because linprog's wrapper cost more than the solve; the plan is the
+    one linprog would return, bit for bit. RuntimeError means HiGHS
+    found no optimum or its solution failed linprog's post-solve check.
+    HiGHS meets the marginals only to its own feasibility
     tolerance (about 1e-7 on large problems), so the plan is snapped
     onto them with repair_marginals; it then reproduces them to 1e-9.
     """

@@ -13,13 +13,7 @@ from ocrate import (
     Pmf,
     all_blocks,
     binary_entropy,
-    block_index,
-    block_of_index,
-    conditional_entropy,
-    conditional_entropy_grouping,
-    empirical_pmf,
     entropy,
-    kl_divergence,
     mutual_information,
     product_extension,
     total_variation,
@@ -93,19 +87,12 @@ def test_channel_cached_tables():
         Channel(np.array([[1.5, -0.5]]))
 
 
-def test_kl_and_mutual_information():
-    p = Pmf(np.array([0.5, 0.5]))
-    q = Pmf(np.array([0.25, 0.75]))
-    assert kl_divergence(p, p) == 0.0
-    # hand value: 0.5*log2(2) + 0.5*log2(2/3)
-    assert kl_divergence(p, q) == pytest.approx(
-        0.5 + 0.5 * np.log2(2.0 / 3.0), abs=1e-12)
+def test_mutual_information_hand_values():
     joint = JointPmf(np.array([[0.375, 0.125], [0.125, 0.375]]))
     assert mutual_information(joint) == pytest.approx(
         1.0 - H_QUARTER, abs=1e-12)
     indep = JointPmf(np.outer([0.3, 0.7], [0.6, 0.4]))
     assert mutual_information(indep) == 0.0
-    assert conditional_entropy(joint) == pytest.approx(H_QUARTER, abs=1e-12)
 
 
 def test_mutual_information_nonnegative_on_random_joints():
@@ -140,13 +127,6 @@ def test_total_variation_data_processing():
             p, q) + 1e-12
 
 
-def test_empirical_pmf_counts():
-    p = empirical_pmf(np.array([0, 0, 2, 1, 0]), 4)
-    assert p.probs == pytest.approx([0.6, 0.2, 0.2, 0.0])
-    with pytest.raises(ValueError):
-        empirical_pmf(np.array([0, 4]), 4)
-
-
 def test_product_extension_recovers_marginals():
     p = Pmf(np.array([0.2, 0.3, 0.5]))
     ext = product_extension(p, 3)
@@ -161,78 +141,14 @@ def test_product_extension_recovers_marginals():
     assert ext.probs[26] == pytest.approx(0.5 ** 3)
 
 
-def test_block_index_round_trip():
+def test_all_blocks_order():
     blocks = all_blocks(3, 4)
     assert blocks.shape == (81, 4)
-    idx = block_index(blocks, 3)
-    assert np.array_equal(idx, np.arange(81))
-    assert np.array_equal(block_of_index(80, 3, 4), [2, 2, 2, 2])
+    # row k spells k in base 3, first symbol most significant
+    assert np.array_equal(blocks @ [27, 9, 3, 1], np.arange(81))
+    assert np.array_equal(blocks[80], [2, 2, 2, 2])
     with pytest.raises(CapExceeded):
         all_blocks(10, 10)
-
-
-def _grouping_by_enumeration(joint: JointPmf) -> float:
-    """Try every partition of the output alphabet, keep the smallest
-    conditional entropy among the ones that preserve X - f(Y) - Y."""
-    table = joint.table
-    nx, ny = table.shape
-    py = table.sum(axis=0)
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [[first] + part[i]] + part[i + 1:]
-            yield [[first]] + part
-
-    best = np.inf
-    for part in partitions(list(range(ny))):
-        ok = True
-        for cell in part:
-            live = [y for y in cell if py[y] > 0]
-            cols = [table[:, y] / py[y] for y in live]
-            for c in cols[1:]:
-                if np.max(np.abs(c - cols[0])) > 1e-9:
-                    ok = False
-        if not ok:
-            continue
-        grouped = np.stack([table[:, cell].sum(axis=1) for cell in part],
-                           axis=1)
-        best = min(best, conditional_entropy(JointPmf(grouped)))
-    return best
-
-
-def test_grouping_against_partition_enumeration():
-    rng = np.random.default_rng(3)
-    for trial in range(10):
-        u = rng.dirichlet(np.ones(2))
-        a = rng.dirichlet(np.ones(2), size=2)
-        # y is a noisy copy of x through 4 outputs, two of which carry
-        # identical posteriors by construction
-        cond = np.zeros((2, 4))
-        cond[:, 0] = a[:, 0] * 0.5
-        cond[:, 1] = a[:, 0] * 0.5
-        cond[:, 2] = a[:, 1] * 0.3
-        cond[:, 3] = a[:, 1] * 0.7
-        joint = JointPmf(u[:, None] * cond)
-        got = conditional_entropy_grouping(joint)
-        want = _grouping_by_enumeration(joint)
-        assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
-
-
-def test_grouping_merges_identical_columns():
-    # X uniform, Y = X duplicated twice: merging the copies leaves a
-    # deterministic function of X, entropy 0 given X
-    table = np.array([[0.25, 0.25, 0.0, 0.0], [0.0, 0.0, 0.25, 0.25]])
-    assert conditional_entropy_grouping(JointPmf(table)) == pytest.approx(
-        0.0, abs=1e-12)
-    # distinct posteriors cannot merge: all of H(Y|X) remains
-    joint = JointPmf(np.array([[0.3, 0.2], [0.1, 0.4]]))
-    assert conditional_entropy_grouping(joint) == pytest.approx(
-        conditional_entropy(joint), abs=1e-12)
 
 
 def test_distortion_matrix():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from ocrate import (
     CapExceeded,
@@ -10,8 +12,11 @@ from ocrate import (
     total_variation,
 )
 from ocrate.transport import (
+    PLAN_TOL,
     Coupling,
     TransportProblem,
+    _check_plan,
+    _transport_lp,
     optimal_face,
     solve_ot,
 )
@@ -132,8 +137,71 @@ def test_side_cap():
         solve_ot(TransportProblem(p, p, np.zeros((n, n))))
 
 
+def _linprog_plan(mu, nu, costs):
+    """The reference: public linprog on a dense equality matrix."""
+    m, n = costs.shape
+    a_eq = np.zeros((m + n - 1, m * n))
+    for i in range(m):
+        a_eq[i, i * n:(i + 1) * n] = 1.0
+    for j in range(n - 1):
+        a_eq[m + j, j::n] = 1.0
+    res = linprog(costs.ravel(), A_eq=a_eq,
+                  b_eq=np.concatenate([mu, nu[:-1]]), bounds=(0, None),
+                  method="highs-ds", options={"presolve": False})
+    assert res.status == 0, res.message
+    return np.clip(res.x, 0.0, None).reshape(m, n)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 30), st.integers(1, 30),
+       st.sampled_from([0.3, 1.0, 8.0]), st.integers(0, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_lp_plan_equals_linprog_bit_for_bit(m, n, alpha, light, tied, seed):
+    """The direct HiGHS call must return linprog's plan exactly; a scipy
+    release that changes the private binding fails here first."""
+    rng = np.random.default_rng(seed)
+    mu = rng.dirichlet(np.full(m, alpha))
+    nu = rng.dirichlet(np.full(n, alpha))
+    # symbols lighter than the HiGHS feasibility tolerance
+    if light & 1 and m > 1:
+        mu[rng.integers(m)] = 1e-9
+        mu /= mu.sum()
+    if light & 2 and n > 1:
+        nu[rng.integers(n)] = 1e-9
+        nu /= nu.sum()
+    if tied:
+        costs = rng.integers(0, 3, size=(m, n)).astype(float)
+    else:
+        costs = rng.uniform(0.0, 2.0, size=(m, n))
+    assert np.array_equal(_transport_lp(mu, nu, costs),
+                          _linprog_plan(mu, nu, costs))
+
+
+def test_infeasible_lp_names_the_highs_status():
+    with pytest.raises(RuntimeError, match="transport LP failed: Infeasible"):
+        _transport_lp(np.array([1.0]), np.array([2.0, 0.5]),
+                      np.zeros((1, 2)))
+
+
+def test_plan_check_rejects_nan_and_residuals():
+    mu = np.array([0.5, 0.5])
+    nu = np.array([0.4, 0.6])
+    plan = np.array([[0.4, 0.1], [0.0, 0.5]])
+    _check_plan(plan, mu, nu)
+    nan_plan = plan.copy()
+    nan_plan[1, 0] = np.nan
+    with pytest.raises(RuntimeError, match="transport LP failed"):
+        _check_plan(nan_plan, mu, nu)
+    # off by 1e-3 on the first row and the first column
+    off = plan.copy()
+    off[0, 0] += 1e-3
+    with pytest.raises(RuntimeError, match="transport LP failed"):
+        _check_plan(off, mu, nu)
+    # marginals met, one entry below -PLAN_TOL
+    neg = np.array([[0.4 + 2 * PLAN_TOL, 0.1 - 2 * PLAN_TOL],
+                    [-2 * PLAN_TOL, 0.5 + 2 * PLAN_TOL]])
+    with pytest.raises(RuntimeError, match="transport LP failed"):
+        _check_plan(neg, mu, nu)
 
 
 def _rows_by_loop(table):
