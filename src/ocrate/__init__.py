@@ -21,11 +21,8 @@ from .transport import (
     solve_ot,
 )
 from .region import (
-    ConstraintViolation,
     GaussianSpec,
     MarkovTriple,
-    MembershipResult,
-    RatePoint,
     RegionCurve,
     bsc_boundary,
     c0_bsc,
@@ -35,7 +32,6 @@ from .region import (
     gaussian_mmi,
     i0_solver,
     mmi_constrained_output,
-    region_membership,
     wyner_bsc,
 )
 from .codesim import (

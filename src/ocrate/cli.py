@@ -10,6 +10,7 @@ success, 1 validation, 2 infeasible domain, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codesim import SimConfig, run_simulation, soft_covering_exact
+from .codesim import SimConfig, TrialRecord, run_simulation, soft_covering_exact
 from .info import CapExceeded, Channel, DistortionMatrix, DomainError, Pmf, binary_entropy
 from .region import (
     GaussianSpec,
@@ -311,8 +312,7 @@ def _cmd_empirical(args) -> int:
 # simulator commands
 
 
-_TRIAL_COLUMNS = ("trial", "k", "j", "encoder_fallback", "distortion",
-                  "correction_move", "corrected_distortion", "triangle_ok")
+_TRIAL_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 def _cmd_simulate(args) -> int:
@@ -348,7 +348,7 @@ def _cmd_simulate(args) -> int:
     )
     report = run_simulation(sim)
     _emit(_json_text(report.to_dict()), args.out)
-    rows = [[t.to_dict()[c] for c in _TRIAL_COLUMNS] for t in report.trials]
+    rows = [[getattr(t, c) for c in _TRIAL_COLUMNS] for t in report.trials]
     _emit(_csv_text(",".join(_TRIAL_COLUMNS), rows),
           str(Path(args.out).with_suffix(".trials.csv")))
     return EXIT_OK

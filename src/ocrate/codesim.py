@@ -42,6 +42,9 @@ Two modes:
   can differ from that loop's only where the encoder's uniform lies
   within round-off of a CDF step.
 
+Both modes keep per-trial arrays of trials x n letters, capped at 2^24
+cells.
+
 Everything is deterministic given the config seed: independent numpy
 SeedSequence streams (seed, tag) drive the codebook draw, the trial
 loop, and the correction sampling.
@@ -70,6 +73,7 @@ CODEBOOK_CAP = 2 ** 24
 BLOCK_CAP = 10 ** 7
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
 PLAN_CAP = 2 ** 20          # cells of the block-correction plan
+TRIAL_CAP = 2 ** 24         # trials x n cells of the per-trial arrays
 _CHUNK_WORK = 2_000_000
 _CODEBOOK_SLICE = 2 ** 18   # cells of a codebook or one-hot slice
 _SCORE_CELLS = 2 ** 17      # cells of a batch's scores and of its table
@@ -122,7 +126,8 @@ class SimConfig:
 
     metric_power is the exponent p such that the per-letter distortion
     is the p-th power of a metric; it only feeds the triangle-bound
-    exponent q = max(1, p) and defaults to 1 (Hamming-like costs).
+    exponent q = max(1, p), must be finite and positive, and defaults to
+    1 (Hamming-like costs).
     """
 
     triple: MarkovTriple
@@ -149,8 +154,8 @@ class SimConfig:
             raise ValueError("seed must fit in a u64")
         if self.mode not in ("auto", "exact", "monte-carlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.metric_power <= 0.0:
-            raise ValueError("metric power must be positive")
+        if not (np.isfinite(self.metric_power) and self.metric_power > 0.0):
+            raise ValueError("metric power must be finite and positive")
         nx = self.triple.x_given_u.output_size
         ny = self.triple.y_given_u.output_size
         if self.rho.shape != (nx, ny):
@@ -180,16 +185,7 @@ class TrialRecord:
         self.triangle_ok = bool(corrected ** (1.0 / q) <= rhs + 1e-9)
 
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "k": self.k,
-            "j": self.j,
-            "encoder_fallback": self.encoder_fallback,
-            "distortion": self.distortion,
-            "correction_move": self.correction_move,
-            "corrected_distortion": self.corrected_distortion,
-            "triangle_ok": self.triangle_ok,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -217,26 +213,8 @@ class SimReport:
     trials: list[TrialRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "n": self.n,
-            "num_j": self.num_j,
-            "num_k": self.num_k,
-            "single_letter_distortion": self.single_letter_distortion,
-            "mean_distortion": self.mean_distortion,
-            "tv_output_vs_iid": self.tv_output_vs_iid,
-            "tv_output_is_plugin": self.tv_output_is_plugin,
-            "encoder_fallbacks": self.encoder_fallbacks,
-            "idealized_distortion": self.idealized_distortion,
-            "pre_correction_distortion": self.pre_correction_distortion,
-            "trial_mean_distortion": self.trial_mean_distortion,
-            "tv_pre_correction": self.tv_pre_correction,
-            "tv_softcover": self.tv_softcover,
-            "ot_block_cost": self.ot_block_cost,
-            "distortion_bound": self.distortion_bound,
-            "distortion_slack": self.distortion_slack,
-            "trials": [t.to_dict() for t in self.trials],
-        }
+        out = dict(vars(self))
+        out["trials"] = [t.to_dict() for t in self.trials]
         return out
 
 
@@ -473,6 +451,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     """Simulate one codebook draw of the construction at the config's
     rates and block length; see the module docstring for the two modes
     and the report contract. Bit-identical output for equal configs."""
+    if cfg.trials * cfg.n > TRIAL_CAP:
+        raise CapExceeded(f"{cfg.trials} trials of {cfg.n} letters exceed "
+                          f"the cap of {TRIAL_CAP} cells")
     num_j = _ceil_codes(cfg.n * cfg.r)
     num_k = _ceil_codes(cfg.n * cfg.rc)
     mode = _choose_mode(cfg, num_j, num_k)

@@ -63,9 +63,6 @@ class Pmf:
     def size(self) -> int:
         return int(self.probs.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.probs > 0.0)
 
@@ -160,12 +157,6 @@ class JointPmf:
     @property
     def shape(self) -> tuple[int, int]:
         return (int(self.table.shape[0]), int(self.table.shape[1]))
-
-    def marginal_x(self) -> Pmf:
-        return Pmf(self.table.sum(axis=1))
-
-    def marginal_y(self) -> Pmf:
-        return Pmf(self.table.sum(axis=0))
 
 
 @dataclass(frozen=True)

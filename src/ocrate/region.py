@@ -16,9 +16,10 @@ This module computes the extreme points of that region:
 * c0_bsc / wyner_bsc: closed-form sum-rate floor for the symmetric
   binary pair (the common-information value of a doubly symmetric
   binary source).
-* bsc_boundary / gaussian_boundary: full (rc, r) trade-off curves for
-  the symmetric binary and scalar Gaussian families; each solves its
-  whole rc grid at once, by one elementwise bisection.
+* bsc_boundary / gaussian_boundary: the lower boundary r_min(rc) for
+  the symmetric binary and scalar Gaussian families, as a RegionCurve
+  holding the rc grid and r_min as two arrays; each solves its whole
+  rc grid at once, by one elementwise bisection.
 * det_decoder_min_rate / empirical_region_min_rate: the two variation
   regions (decoder forced deterministic; constraint weakened to the
   empirical output histogram).
@@ -47,8 +48,8 @@ from .info import (
     entropy,
     mutual_information,
 )
-from .transport import (COST_SLACK, Coupling, TransportProblem, optimal_face,
-                        repair_marginals, solve_ot)
+from .transport import (COST_SLACK, Coupling, TransportProblem, _rows,
+                        optimal_face, repair_marginals, solve_ot)
 
 INF = float("inf")
 
@@ -61,10 +62,6 @@ _SCALING_SWEEPS = 100_000
 
 # interval width for bisection on monotone brackets
 BISECT_TOL = 1e-10
-
-
-class ConstraintViolation(ValueError):
-    """A candidate triple fails the marginal or distortion constraints."""
 
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray,
@@ -93,41 +90,42 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray,
 # containers
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """One operating point: shared-randomness rate rc, coding rate r."""
-
-    rc: float
-    r: float
-
-
-REGION_TAGS = ("main-inner", "synthesis-inner", "det-decoder", "empirical")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionCurve:
-    """Lower boundary r_min(rc) of a rate region at fixed distortion."""
+    """Lower boundary r_min(rc) of the main inner region at fixed
+    distortion: r[i] is the least coding rate at shared-randomness rate
+    rc[i].
+
+    rc and r are read-only float64 arrays of one length, at least 1; rc
+    strictly increases and r does not increase (up to 1e-9). Entries may
+    be +inf: an rc of inf maps to the unlimited-shared-randomness floor,
+    and an r of inf marks a budget that only perfect correlation fits.
+    """
 
     distortion: float
-    points: tuple[RatePoint, ...]
-    region_tag: str
+    rc: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self):
-        if self.region_tag not in REGION_TAGS:
-            raise ValueError(f"unknown region tag {self.region_tag!r}")
-        pts = tuple(self.points)
-        if not pts:
+        rc = np.array(self.rc, dtype=float)
+        r = np.array(self.r, dtype=float)
+        if rc.ndim != 1 or rc.shape != r.shape:
+            raise ValueError("rc and r must be 1-D arrays of one length")
+        if rc.size == 0:
             raise ValueError("a region curve needs at least one point")
-        rcs = [p.rc for p in pts]
-        rs = [p.r for p in pts]
-        if any(b <= a for a, b in zip(rcs, rcs[1:])):
+        if np.any(rc[1:] <= rc[:-1]):
             raise ValueError("rc grid must be strictly increasing")
-        if any(b > a + 1e-9 for a, b in zip(rs, rs[1:])):
+        # not np.diff: inf - inf is nan, and an all-inf r is a valid curve
+        if np.any(r[1:] > r[:-1] + 1e-9):
             raise ValueError("r_min must be nonincreasing along the curve")
-        object.__setattr__(self, "points", pts)
+        rc.setflags(write=False)
+        r.setflags(write=False)
+        object.__setattr__(self, "rc", rc)
+        object.__setattr__(self, "r", r)
 
     def rates(self) -> np.ndarray:
-        return np.array([[p.rc, p.r] for p in self.points])
+        """The curve as an (m, 2) array of (rc, r) rows."""
+        return np.column_stack((self.rc, self.r))
 
 
 @dataclass(frozen=True)
@@ -193,13 +191,6 @@ class MarkovTriple:
         return float(np.einsum("u,ux,xy,uy->", self.weights.probs,
                                self.x_given_u.rows, rho.costs,
                                self.y_given_u.rows))
-
-
-@dataclass(frozen=True)
-class MembershipResult:
-    member: bool
-    information_x: float
-    information_y: float
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +383,6 @@ def _grid(rc_grid) -> np.ndarray:
     return rc
 
 
-def _curve(d: float, rc: np.ndarray, r: np.ndarray) -> RegionCurve:
-    return RegionCurve(d, tuple(RatePoint(float(c), float(v))
-                                for c, v in zip(rc, r)), "main-inner")
-
-
 def bsc_boundary(d: float, rc_grid) -> RegionCurve:
     """Boundary r_min(rc) of the symmetric binary inner region at
     Hamming distortion d.
@@ -417,7 +403,7 @@ def bsc_boundary(d: float, rc_grid) -> RegionCurve:
 
     a1 = _bisect(imbalance, np.full(rc.shape, a_star), np.full(rc.shape, d))
     a1 = np.where(rc <= 0.0, a_star, np.where(rc >= binary_entropy(d), d, a1))
-    return _curve(d, rc, 1.0 - _h2(a1))
+    return RegionCurve(d, rc, 1.0 - _h2(a1))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +434,9 @@ def gaussian_boundary(spec: GaussianSpec, rc_grid) -> RegionCurve:
     sy2 = spec.sigma_y ** 2
     s = sx2 + sy2 - spec.d
     if s <= 0.0:
-        return _curve(spec.d, rc, np.zeros(rc.shape))
+        return RegionCurve(spec.d, rc, np.zeros(rc.shape))
     if s / (2.0 * spec.sigma_x * spec.sigma_y) >= 1.0:
-        return _curve(spec.d, rc, np.full(rc.shape, INF))
+        return RegionCurve(spec.d, rc, np.full(rc.shape, INF))
     finite = np.isfinite(rc)
     budget = np.where(finite, rc, 0.0)
 
@@ -464,8 +450,8 @@ def gaussian_boundary(spec: GaussianSpec, rc_grid) -> RegionCurve:
 
     a = _bisect(imbalance, np.full(rc.shape, s / (2.0 * sx2 * spec.sigma_y)),
                 np.full(rc.shape, 1.0 / spec.sigma_x))
-    return _curve(spec.d, rc, np.where(finite, info(1.0 - a * a * sx2),
-                                       gaussian_mmi(spec)))
+    return RegionCurve(spec.d, rc, np.where(finite, info(1.0 - a * a * sx2),
+                                            gaussian_mmi(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,13 +576,6 @@ def _snap_channel(induced: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _rows(repair_marginals(np.diag(induced), induced, target), target)
 
 
-def _rows(joint: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Conditional rows of a table; massless rows fall back."""
-    mass = joint.sum(axis=1, keepdims=True)
-    return np.where(mass > 0.0, joint / np.where(mass > 0.0, mass, 1.0),
-                    fallback)
-
-
 def _anchor_triples(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
                     base: Coupling) -> list[MarkovTriple]:
     """Deterministic feasible candidates: U = Y and U = X readings of
@@ -710,30 +689,3 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
             continue
 
     return best_value, best_triple
-
-
-# ---------------------------------------------------------------------------
-# membership
-
-
-def region_membership(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
-                      triple: MarkovTriple, point: RatePoint,
-                      slack: float = 1e-6) -> MembershipResult:
-    """Check whether a rate point is covered by the region certificate
-    of a given triple.
-
-    The triple itself is validated first: induced marginals must match
-    (mu, psi) within 1e-6 and the distortion budget within 1e-9;
-    violations raise ConstraintViolation rather than returning False,
-    because a bad certificate says nothing about the point.
-    """
-    if np.max(np.abs(triple.induced_x().probs - mu.probs)) > 1e-6:
-        raise ConstraintViolation("induced source marginal is off")
-    if np.max(np.abs(triple.induced_y().probs - psi.probs)) > 1e-6:
-        raise ConstraintViolation("induced output marginal is off")
-    if triple.expected_distortion(rho) > d + 1e-9:
-        raise ConstraintViolation("distortion budget exceeded")
-    ix = triple.information_x()
-    iy = triple.information_y()
-    ok = (point.r >= ix - slack) and (point.r + point.rc >= iy - slack)
-    return MembershipResult(bool(ok), ix, iy)

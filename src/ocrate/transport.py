@@ -71,13 +71,17 @@ class Coupling:
     def conditional_rows(self) -> np.ndarray:
         """Rows P(y | x); zero-mass rows fall back to the target marginal,
         or to the uniform law when the table has no mass."""
-        sums = self.table.sum(axis=1, keepdims=True)
         target = self.target_marginal()
         total = target.sum()
-        mass = sums > 0.0
-        rows = self.table / np.where(mass, sums, 1.0)
-        rows[~mass[:, 0]] = target / total if total > 0 else 1.0 / target.size
-        return rows
+        return _rows(self.table,
+                     target / total if total > 0 else 1.0 / target.size)
+
+
+def _rows(joint: np.ndarray, fallback: np.ndarray | float) -> np.ndarray:
+    """Conditional rows of a table; massless rows fall back."""
+    mass = joint.sum(axis=1, keepdims=True)
+    return np.where(mass > 0.0, joint / np.where(mass > 0.0, mass, 1.0),
+                    fallback)
 
 
 def _highs_options() -> highspy.HighsOptions:

@@ -339,12 +339,28 @@ def test_simulate_cap_exit(sim_config):
     payload, tmp_path = sim_config
     out = tmp_path / "r.json"
     # n=24 passes no cap; binary n=11 passes every cap but the 2^20
-    # cells of the correction plan
-    for changes in ({"n": 24, "r": 0.25}, {"n": 11, "r": 0.5, "rc": 0.3}):
+    # cells of the correction plan; 2^24 + 1 one-letter trials pass
+    # every cap but the one on trial cells
+    for changes in ({"n": 24, "r": 0.25}, {"n": 11, "r": 0.5, "rc": 0.3},
+                    {"n": 1, "trials": 2 ** 24 + 1}):
         cfg = write_config(tmp_path, dict(payload, **changes))
         proc = run_cli("simulate", "--config", cfg, "--out", str(out))
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("power", ["NaN", "Infinity", "1e400"])
+def test_simulate_rejects_non_finite_metric_power(sim_config, power):
+    payload, tmp_path = sim_config
+    # json.dumps cannot write 1e400, so the number goes in as text
+    text = json.dumps(dict(payload, metric_power=0.0)).replace(
+        '"metric_power": 0.0', f'"metric_power": {power}')
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    proc = run_cli("simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert "metric power" in proc.stderr
 
 
 def test_unwritable_out_path_is_validation(tmp_path):

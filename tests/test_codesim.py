@@ -654,9 +654,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(triple=triple, rho=HAMMING2, n=2, r=0.5, rc=0.0,
                   trials=1, seed=0, mode="both")
-    with pytest.raises(ValueError):
-        SimConfig(triple=triple, rho=HAMMING2, n=2, r=0.5, rc=0.0,
-                  trials=1, seed=0, metric_power=0.0)
+    for power in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(triple=triple, rho=HAMMING2, n=2, r=0.5, rc=0.0,
+                      trials=1, seed=0, metric_power=power)
     with pytest.raises(ValueError):
         SimConfig(triple=triple, rho=DistortionMatrix.hamming(3), n=2,
                   r=0.5, rc=0.0, trials=1, seed=0)
@@ -672,6 +673,15 @@ def test_mode_selection_and_caps():
     wide = SimConfig(triple=triple, rho=HAMMING2, n=10, r=1.0, rc=0.5,
                      trials=2, seed=0)
     assert run_simulation(wide).mode == "monte-carlo"
+
+
+def test_trial_cells_are_capped_before_any_work():
+    cfg = SimConfig(triple=_quarter_triple(), rho=HAMMING2, n=1, r=0.5,
+                    rc=0.0, trials=codesim.TRIAL_CAP + 1, seed=0)
+    with patch.object(codesim, "generate_codebook") as draw:
+        with pytest.raises(CapExceeded, match="trials"):
+            run_simulation(cfg)
+    draw.assert_not_called()
 
 
 def test_monte_carlo_smoke_and_determinism():

@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from ocrate import (
     Channel,
-    ConstraintViolation,
     DistortionMatrix,
     DomainError,
     GaussianSpec,
     MarkovTriple,
     Pmf,
-    RatePoint,
     RegionCurve,
     binary_entropy,
     bsc_boundary,
@@ -27,7 +25,6 @@ from ocrate import (
     i0_solver,
     mmi_constrained_output,
     mutual_information,
-    region_membership,
     total_variation,
     wyner_bsc,
 )
@@ -201,7 +198,6 @@ def test_c0_equals_wyner_at_matching_crossover():
 def test_bsc_boundary_quarter():
     h = binary_entropy(0.25)
     curve = bsc_boundary(0.25, [0.0, h / 2, h])
-    assert curve.region_tag == "main-inner"
     rates = curve.rates()
     assert rates[0] == pytest.approx([0.0, 0.399124], abs=5e-7)
     assert rates[2] == pytest.approx([h, 1.0 - h], abs=1e-9)
@@ -622,56 +618,34 @@ def test_i0_validation():
 
 
 # ---------------------------------------------------------------------------
-# membership and curve plumbing
-
-
-def _triple_from_coupling(table: np.ndarray) -> MarkovTriple:
-    """Read a coupling as X - U - Y with U = Y."""
-    py = table.sum(axis=0)
-    x_rows = np.stack([table[:, y] / py[y] for y in range(table.shape[1])])
-    return MarkovTriple(Pmf(py), Channel(x_rows),
-                        Channel.identity(table.shape[1]))
-
-
-def test_membership_of_mmi_witness():
-    value, coupling = mmi_constrained_output(BERN_HALF, BERN_HALF, HAMMING2,
-                                             0.25)
-    triple = _triple_from_coupling(coupling.table)
-    res = region_membership(BERN_HALF, BERN_HALF, HAMMING2, 0.25, triple,
-                            RatePoint(rc=entropy(BERN_HALF), r=value))
-    assert res.member
-    assert res.information_x == pytest.approx(value, abs=1e-9)
-    assert res.information_y == pytest.approx(1.0, abs=1e-12)
-    # shaving the coding rate below I(X;U) leaves the region
-    res = region_membership(BERN_HALF, BERN_HALF, HAMMING2, 0.25, triple,
-                            RatePoint(rc=1.0, r=value - 0.01))
-    assert not res.member
-
-
-def test_membership_rejects_bad_certificates():
-    skew = MarkovTriple(Pmf(np.array([0.7, 0.3])), Channel.identity(2),
-                        Channel.identity(2))
-    with pytest.raises(ConstraintViolation):
-        region_membership(BERN_HALF, BERN_HALF, HAMMING2, 0.25, skew,
-                          RatePoint(rc=1.0, r=1.0))
-    noisy = MarkovTriple(BERN_HALF, Channel.identity(2), Channel.bsc(0.4))
-    with pytest.raises(ConstraintViolation):
-        region_membership(BERN_HALF, BERN_HALF, HAMMING2, 0.1, noisy,
-                          RatePoint(rc=1.0, r=1.0))
+# curve plumbing
 
 
 def test_region_curve_validation():
-    good = [RatePoint(0.0, 0.5), RatePoint(0.5, 0.3)]
-    RegionCurve(0.25, tuple(good), "main-inner")
+    curve = RegionCurve(0.25, [0.0, 0.5], [0.5, 0.3])
+    assert curve.rates().tolist() == [[0.0, 0.5], [0.5, 0.3]]
+    assert curve.rc.dtype == curve.r.dtype == np.float64
     with pytest.raises(ValueError):
-        RegionCurve(0.25, tuple(reversed(good)), "main-inner")
+        curve.r[0] = 1.0
     with pytest.raises(ValueError):
-        RegionCurve(0.25, (RatePoint(0.0, 0.1), RatePoint(0.5, 0.3)),
-                    "main-inner")
+        RegionCurve(0.25, [0.5, 0.0], [0.3, 0.5])
     with pytest.raises(ValueError):
-        RegionCurve(0.25, tuple(good), "outer")
+        RegionCurve(0.25, [0.0, 0.5], [0.1, 0.3])
     with pytest.raises(ValueError):
-        RegionCurve(0.25, (), "main-inner")
+        RegionCurve(0.25, [], [])
+    with pytest.raises(ValueError):
+        RegionCurve(0.25, [0.0, 0.5], [0.5])
+    # inf - inf is nan, so a difference-based check would reject these
+    RegionCurve(0.0, [0.0, 1.0, math.inf], [math.inf] * 3)
+    RegionCurve(0.5, [0.0, math.inf], [0.7, 0.2])
+
+
+def test_region_curve_does_not_alias_the_callers_grid():
+    grid = np.array([0.0, 0.1, 0.2])
+    curve = bsc_boundary(0.25, grid)
+    grid[0] = 0.05
+    assert curve.rc[0] == 0.0
+    assert grid.flags.writeable
 
 
 def test_markov_triple_cardinality_bound():
