@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ EXIT_DOMAIN = 2
 EXIT_CAP = 3
 
 DEFAULT_POINTS = 41
+MAX_POINTS = 10 ** 6
 DEFAULT_RC_MAX = 4.0
 
 
@@ -152,6 +154,15 @@ def _scalar(args, config: dict, field: str, default=None):
     return default
 
 
+def _int_setting(args, config: dict, field: str, default) -> int:
+    """Flag value if given, else config value, else default; it must be
+    an integer."""
+    value = getattr(args, field, None)
+    if value is None:
+        value = config.get(field, default)
+    return _integer(field, value)
+
+
 def _coupling_problem(cfg: dict):
     mu = _pmf("mu", cfg["mu"])
     psi = _pmf("psi", cfg["psi"])
@@ -167,11 +178,12 @@ def _result_payload(value: float, witness) -> dict:
 
 
 def _grid_points(args, config: dict) -> int:
-    points = args.points if args.points is not None else config.get("points",
-                                                                    DEFAULT_POINTS)
-    points = _integer("points", points)
+    points = _int_setting(args, config, "points", DEFAULT_POINTS)
     if points < 2:
         raise ValueError("need at least 2 grid points")
+    if points > MAX_POINTS:
+        raise CapExceeded(f"{points} grid points exceed the cap of "
+                          f"{MAX_POINTS}")
     return points
 
 
@@ -224,8 +236,7 @@ def _cmd_softcover(args) -> int:
         raise ValueError("n_values must be a non-empty list")
     n_values = [_integer("n_values entry", n) for n in n_values]
     codebooks = _integer("codebooks", cfg.get("codebooks", 32))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    seed = _integer("seed", seed)
+    seed = _int_setting(args, cfg, "seed", 0)
     rows = [(n, soft_covering_exact(p_v, channel, n, r, seed,
                                     num_codebooks=codebooks))
             for n in n_values]
@@ -246,26 +257,15 @@ def _cmd_mmi(args) -> int:
     return EXIT_OK
 
 
-def _cmd_wyner(args) -> int:
-    cfg = _load_config(args.config, {"a0"}, set())
-    a0 = _scalar(args, cfg, "a0")
-    if a0 is None:
-        raise ValueError("wyner needs --a0 or a config with a0")
-    _emit(_json_text(_result_payload(wyner_bsc(a0), None)), args.out)
+def _cmd_closed_form(field: str, formula, args) -> int:
+    """A closed form of the one scalar field: wyner (a0), c0 (d)."""
+    cfg = _load_config(args.config, {field}, set())
+    value = _scalar(args, cfg, field)
+    if value is None:
+        raise ValueError(f"{args.command} needs --{field} or a config "
+                         f"with {field}")
+    _emit(_json_text(_result_payload(formula(value), None)), args.out)
     return EXIT_OK
-
-
-def _scalar_d_command(args, solver) -> int:
-    cfg = _load_config(args.config, {"d"}, set())
-    d = _scalar(args, cfg, "d")
-    if d is None:
-        raise ValueError("this command needs --d or a config with d")
-    _emit(_json_text(_result_payload(solver(d), None)), args.out)
-    return EXIT_OK
-
-
-def _cmd_c0(args) -> int:
-    return _scalar_d_command(args, c0_bsc)
 
 
 def _cmd_i0(args) -> int:
@@ -273,11 +273,8 @@ def _cmd_i0(args) -> int:
                        {"mu", "psi", "rho", "d", "restarts", "seed"},
                        {"mu", "psi", "rho", "d"})
     mu, psi, rho, d = _coupling_problem(cfg)
-    restarts = args.restarts if args.restarts is not None else cfg.get(
-        "restarts", 64)
-    restarts = _integer("restarts", restarts)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    seed = _integer("seed", seed)
+    restarts = _int_setting(args, cfg, "restarts", 64)
+    seed = _int_setting(args, cfg, "seed", 0)
     value, triple = i0_solver(mu, psi, rho, d, restarts=restarts, seed=seed)
     witness = None
     if triple is not None:
@@ -327,7 +324,6 @@ def _cmd_simulate(args) -> int:
     triple = MarkovTriple(_pmf("weights", cfg["weights"]),
                           Channel(_matrix("x_given_u", cfg["x_given_u"])),
                           Channel(_matrix("y_given_u", cfg["y_given_u"])))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     correction = cfg.get("correction", True)
     if not isinstance(correction, bool):
         raise ValueError("correction must be a boolean")
@@ -341,7 +337,7 @@ def _cmd_simulate(args) -> int:
         r=_number("r", cfg["r"]),
         rc=_number("rc", cfg["rc"]),
         trials=_integer("trials", cfg["trials"]),
-        seed=_integer("seed", seed),
+        seed=_int_setting(args, cfg, "seed", 0),
         correction=correction,
         mode=mode,
         metric_power=_number("metric_power", cfg.get("metric_power", 1.0)),
@@ -392,10 +388,10 @@ def _build_parser() -> _Parser:
          fl_points])
     add("mmi", _cmd_mmi,
         "JSON minimum coupling information at a distortion budget")
-    add("wyner", _cmd_wyner,
+    add("wyner", partial(_cmd_closed_form, "a0", wyner_bsc),
         "JSON common-information rate of a doubly symmetric binary pair",
         [("--a0", {"type": float, "help": "crossover in [0, 1/2]"})])
-    add("c0", _cmd_c0,
+    add("c0", partial(_cmd_closed_form, "d", c0_bsc),
         "JSON zero-shared-randomness rate for the binary symmetric pair",
         [fl_d])
     add("i0", _cmd_i0,
@@ -407,7 +403,7 @@ def _build_parser() -> _Parser:
     add("empirical", _cmd_empirical,
         "JSON minimum rate under the empirical-histogram constraint")
     # the synthesis sum-rate floor of the binary symmetric pair is c0
-    add("synthesis-bsc", _cmd_c0,
+    add("synthesis-bsc", partial(_cmd_closed_form, "d", c0_bsc),
         "JSON minimum synthesis sum rate for the binary symmetric pair",
         [fl_d])
     add("simulate", _cmd_simulate,

@@ -28,19 +28,19 @@ Two modes:
   law (also flagged, via mode). The trial loop runs in two passes over
   one random stream. The first draws, trial by trial, the source
   uniforms, k, the encoder's uniform and the decoder's uniforms; none
-  of these depends on the encoder's scores. Only when the X-channel
-  has zero entries does it encode each trial at once: a trial whose
-  block has zero likelihood under every codeword of its column draws
-  a uniform j where the encoder's uniform would be. Otherwise the
-  second pass scores the trials in batches that share k and picks
-  each j by inverting its CDF at the stored uniform; one decode call
-  then emits every block. A batch's scores are one matrix product per
+  of these depends on the encoder's scores. The second scores the
+  trials in batches that share k and picks each j by inverting its
+  CDF at the stored uniform; a trial whose block has zero likelihood
+  under every codeword of its column takes its j from the same
+  uniform with equal weights, as in exact mode. One decode call then
+  emits every block. A batch's scores are one matrix product per
   j-slice of its codebook column: the slice's one-hot times the
   batch's table of per-letter log-likelihoods. The draws are those of
   a loop that encodes and decodes one trial at a time. Only the last
   bits of the scores follow the product's summation order, so a j
   can differ from that loop's only where the encoder's uniform lies
-  within round-off of a CDF step.
+  within round-off of a CDF step. The decoder and the correction's
+  relabelling draw letters by one row-CDF sampler.
 
 Both modes keep per-trial arrays of trials x n letters, capped at 2^24
 cells.
@@ -116,7 +116,10 @@ def _letters(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _ceil_codes(rate_times_n: float) -> int:
-    # ceil(2^{n r}) with a guard against float noise just above integers
+    # ceil(2^{n r}) with a guard against float noise just above integers;
+    # no cap admits 2^1000 words, and the float power overflows at 2^1024
+    if rate_times_n > 1000.0:
+        raise CapExceeded(f"2^{rate_times_n:g} codewords exceed every cap")
     return int(math.ceil(2.0 ** rate_times_n - 1e-9))
 
 
@@ -285,38 +288,35 @@ def _scores(log_rows: np.ndarray, x_blocks: np.ndarray,
     return out
 
 
-def _pick(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pick(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the index drawn with probability proportional to
     exp(scores) from the uniform u: the count of normalized-CDF entries
-    at most u, which is _draw's searchsorted on the same uniform. Every
-    row needs a finite maximum."""
+    at most u, which is _draw's searchsorted on the same uniform. A row
+    with no finite score is drawn with equal weights from its uniform,
+    as rng.choice(num_j, p=np.full(num_j, 1 / num_j)) draws it; the
+    second array flags those rows."""
     top = scores.max(axis=1, keepdims=True)
+    fallback = np.isneginf(top[:, 0])
+    top[fallback] = 0.0
     w = np.exp(scores - top)
+    w[fallback] = 1.0
     w /= w.sum(axis=1, keepdims=True)
     cdf = w.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    return (cdf <= u[:, None]).sum(axis=1)
-
-
-def _encode(log_rows: np.ndarray, x_block: np.ndarray, words: np.ndarray,
-            rng: np.random.Generator) -> tuple[int, bool]:
-    """likelihood_encode on the column words, without argument checks."""
-    scores = _scores(log_rows, x_block[None], words)
-    if not np.isfinite(scores.max()):
-        return int(rng.integers(len(words))), True
-    return int(_pick(scores, np.array([rng.random()]))[0]), False
+    return (cdf <= u[:, None]).sum(axis=1), fallback
 
 
 def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
                       x_block: np.ndarray, k: int,
                       rng: np.random.Generator) -> tuple[int, bool]:
     """Pick a message index j with probability proportional to the
-    likelihood of x_block under codeword (j, k)'s X-channel.
+    likelihood of x_block under codeword (j, k)'s X-channel, from one
+    rng.random() uniform.
 
     Scores are sums of the channel's cached log table
     (Channel.log_rows), with max subtraction. When every codeword in
-    column k has zero likelihood the draw falls back to uniform and the
-    second return value flags it. Indices are 0-based.
+    column k has zero likelihood the same uniform picks j with equal
+    weights, and the second return value flags it. Indices are 0-based.
     """
     if not 0 <= k < codebook.shape[1]:
         raise ValueError("shared-randomness index out of range")
@@ -325,25 +325,31 @@ def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
     # a negative symbol would wrap around in the table lookup
     if x_block.min() < 0 or x_block.max() >= nx:
         raise ValueError("source symbol out of range")
-    return _encode(x_given_u.log_rows, x_block, codebook[:, k], rng)
+    scores = _scores(x_given_u.log_rows, x_block[None], codebook[:, k])
+    j, fallback = _pick(scores, np.array([rng.random()]))
+    return int(j[0]), bool(fallback[0])
+
+
+def _sample_rows(cdfs: np.ndarray, letters: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Per entry, the symbol drawn from the channel row of its letter
+    by inverting that row's CDF (a row of cdfs) at u: the count of the
+    row's CDF entries below u. CDF rows do not decrease, so leaving out
+    the last entry caps the count at the last symbol."""
+    out = np.zeros(letters.shape, dtype=np.intp)
+    for c in range(cdfs.shape[1] - 1):
+        out += u > cdfs[:, c].take(letters)
+    return out
 
 
 def decode(codebook: np.ndarray, j: np.ndarray, k: np.ndarray,
            y_given_u: Channel, uniforms: np.ndarray) -> np.ndarray:
     """Emit blocks through the Y-channel of codewords (j[t], k[t]), one
     independent draw per position, by inverting the channel's cached
-    row CDFs (Channel.row_cdfs) at uniforms[t, i]: the symbol is the
-    count of the letter's CDF entries below the uniform, capped at the
-    last symbol. j and k are indices or index arrays of one shape, and
-    uniforms has the shape of codebook[j, k]."""
-    words = codebook[j, k]
-    cdfs = y_given_u.row_cdfs
-    out = np.zeros(words.shape, dtype=np.intp)
-    # CDF rows do not decrease, so leaving out the last entry caps the
-    # count at the last symbol
-    for c in range(cdfs.shape[1] - 1):
-        out += uniforms > cdfs[:, c].take(words)
-    return out
+    row CDFs (Channel.row_cdfs) at uniforms[t, i] (see _sample_rows).
+    j and k are indices or index arrays of one shape, and uniforms has
+    the shape of codebook[j, k]."""
+    return _sample_rows(y_given_u.row_cdfs, codebook[j, k], uniforms)
 
 
 def mixture_output_law(codewords: np.ndarray, channel: Channel,
@@ -575,39 +581,32 @@ def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     rng = _stream(cfg.seed, _STREAM_TRIALS)
     cdf = _cdf(cfg.triple.induced_x().probs)
     log_rows = cfg.triple.x_given_u.log_rows
-    may_fall_back = bool(np.isneginf(log_rows).any())
 
     # pass 1: the trial stream, drawn in the per-trial order source
-    # uniforms, k, encoder uniform (or a uniform j on a fallback),
-    # decoder uniforms; a trial that may fall back is encoded here
+    # uniforms, k, encoder uniform, decoder uniforms
     trials = cfg.trials
     x_u = np.empty((trials, n))
-    xs = np.empty((trials, n), dtype=np.intp)
     dec_u = np.empty((trials, n))
     enc_u = np.empty(trials)
     ks = np.empty(trials, dtype=np.intp)
-    js = np.empty(trials, dtype=np.intp)
-    fbs = np.zeros(trials, dtype=bool)
     for t in range(trials):
         rng.random(out=x_u[t])
-        k = ks[t] = rng.integers(num_k)
-        if may_fall_back:
-            js[t], fbs[t] = _encode(log_rows, _letters(cdf, x_u[t], xs[t]),
-                                    codebook[:, k], rng)
-        else:
-            enc_u[t] = rng.random()
+        ks[t] = rng.integers(num_k)
+        enc_u[t] = rng.random()
         rng.random(out=dec_u[t])
 
     # pass 2: score every trial in batches that share k
-    if not may_fall_back:
-        _letters(cdf, x_u, xs)
-        order = np.argsort(ks, kind="stable")
-        batch = max(1, _SCORE_CELLS // max(num_j, log_rows.shape[0] * n))
-        for group in np.split(order, np.flatnonzero(np.diff(ks[order])) + 1):
-            words = codebook[:, ks[group[0]]]
-            for lo in range(0, group.size, batch):
-                sel = group[lo:lo + batch]
-                js[sel] = _pick(_scores(log_rows, xs[sel], words), enc_u[sel])
+    xs = _letters(cdf, x_u, np.empty((trials, n), dtype=np.intp))
+    js = np.empty(trials, dtype=np.intp)
+    fbs = np.empty(trials, dtype=bool)
+    order = np.argsort(ks, kind="stable")
+    batch = max(1, _SCORE_CELLS // max(num_j, log_rows.shape[0] * n))
+    for group in np.split(order, np.flatnonzero(np.diff(ks[order])) + 1):
+        words = codebook[:, ks[group[0]]]
+        for lo in range(0, group.size, batch):
+            sel = group[lo:lo + batch]
+            js[sel], fbs[sel] = _pick(_scores(log_rows, xs[sel], words),
+                                      enc_u[sel])
     ys = decode(codebook, js, ks, cfg.triple.y_given_u, dec_u)
     return xs, ks, js, fbs, ys
 
@@ -632,11 +631,8 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
         emp /= emp.sum()
         cond = solve_ot(TransportProblem(Pmf(emp), Pmf(psi), rho)
                         ).conditional_rows()
-        rng_c = _stream(cfg.seed, _STREAM_CORRECTION)
-        u = rng_c.random(ys.shape)
-        cum = cond.cumsum(axis=1)
-        final = np.minimum((u[:, :, None] > cum[ys]).sum(axis=2),
-                           psi.size - 1)
+        u = _stream(cfg.seed, _STREAM_CORRECTION).random(ys.shape)
+        final = _sample_rows(cond.cumsum(axis=1), ys, u)
         moves = rho[ys, final].mean(axis=1)
         d_post = rho[xs, final].mean(axis=1)
 

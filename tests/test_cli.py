@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ocrate import binary_entropy, c0_bsc
+from ocrate.cli import MAX_POINTS
 
 HAMMING_ROWS = [[0.0, 1.0], [1.0, 0.0]]
 BSC25_ROWS = [[0.75, 0.25], [0.25, 0.75]]
@@ -249,7 +250,27 @@ def test_softcover_csv(tmp_path):
                                     "channel": [[0.9, 0.1], [0.1, 0.9]],
                                     "n_values": [1]}, "short.json")
     assert run_cli("softcover", "--config", short).returncode == 1
+    # 2^(n r) codewords past every cap; json writes math.inf as Infinity
+    for r in (1e6, math.inf):
+        huge = write_config(tmp_path, {"weights": [0.5, 0.5],
+                                       "channel": [[0.9, 0.1], [0.1, 0.9]],
+                                       "r": r, "n_values": [1]}, "huge.json")
+        proc = run_cli("softcover", "--config", huge)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
 
+
+def test_grid_points_past_the_cap_exit_with_cap_code(tmp_path):
+    over = str(MAX_POINTS + 1)
+    gauss = ("region-gauss", "--sigma-x", "1", "--sigma-y", "1", "--d", "0.5")
+    for argv in (("region-bsc", "--d", "0.25", "--points", over),
+                 ("region-bsc", "--d", "0.25", "--points", "10" + "0" * 12),
+                 (*gauss, "--points", over),
+                 (*gauss, "--config",
+                  write_config(tmp_path, {"points": MAX_POINTS + 1}))):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -299,10 +320,11 @@ def test_simulate_writes_report_and_trials(sim_config):
 
 @pytest.mark.parametrize("x_given_u", [BSC25_ROWS, [[1.0, 0.0], [0.2, 0.8]]])
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, x_given_u):
-    """The Monte-Carlo scores are BLAS products, batched when the
-    X-channel has full support and one block at a time when it has a
-    zero; both are large enough for OpenBLAS to split them over two
-    threads, and the written artifacts must not change."""
+    """The Monte-Carlo scores are BLAS products over batches of trials
+    that share k, on an X-channel with full support and on one with a
+    zero entry (the second product, which marks zero likelihoods, runs
+    only there); both are large enough for OpenBLAS to split them over
+    two threads, and the written artifacts must not change."""
     cfg = write_config(tmp_path, {
         "weights": [0.6, 0.4], "x_given_u": x_given_u,
         "y_given_u": BSC25_ROWS, "rho": HAMMING_ROWS, "n": 32, "r": 0.35,
@@ -340,9 +362,11 @@ def test_simulate_cap_exit(sim_config):
     out = tmp_path / "r.json"
     # n=24 passes no cap; binary n=11 passes every cap but the 2^20
     # cells of the correction plan; 2^24 + 1 one-letter trials pass
-    # every cap but the one on trial cells
+    # every cap but the one on trial cells; 2^(3e6) codewords do not
+    # fit a float, in either index
     for changes in ({"n": 24, "r": 0.25}, {"n": 11, "r": 0.5, "rc": 0.3},
-                    {"n": 1, "trials": 2 ** 24 + 1}):
+                    {"n": 1, "trials": 2 ** 24 + 1}, {"r": 1e6},
+                    {"rc": 1e6}):
         cfg = write_config(tmp_path, dict(payload, **changes))
         proc = run_cli("simulate", "--config", cfg, "--out", str(out))
         assert proc.returncode == 3, proc.stderr

@@ -163,6 +163,25 @@ def test_batched_decode_matches_row_inversion(nu, ny, num_k, n, seed):
             assert got[t, i] == want
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 9),
+       st.integers(0, 2 ** 32 - 1))
+def test_correction_relabel_matches_comparison_tensor(size, trials, n, seed):
+    """The Monte-Carlo correction relabels through the decoder's row
+    sampler; that is the count over the whole (trials, n, size)
+    comparison tensor, capped at the last symbol."""
+    gen = np.random.default_rng(seed)
+    cum = _zero_rich_channel(gen, size, size).rows.cumsum(1)
+    ys = gen.integers(size, size=(trials, n))
+    u = gen.random((trials, n))
+    # uniforms on the CDF steps themselves, the last one included, and
+    # just above the last step, which round-off can leave below 1
+    u[:, 0] = cum[ys[:, 0], gen.integers(size, size=trials)]
+    u[:, -1] = np.nextafter(cum[ys[:, -1], -1], 2.0)
+    want = np.minimum((u[..., None] > cum[ys]).sum(-1), size - 1)
+    np.testing.assert_array_equal(codesim._sample_rows(cum, ys, u), want)
+
+
 def test_mixture_output_law_hand_values():
     chan = Channel.bsc(0.25)
     law = mixture_output_law(np.array([[0], [1]]), chan)
@@ -301,9 +320,9 @@ def _demo_config(**changes) -> SimConfig:
 def _fallback_config() -> SimConfig:
     """A Monte-Carlo run on channels with zero entries, where most
     source blocks have zero likelihood under every codeword of their
-    column and the encoder falls back to a uniform draw (288 of the 300
-    trials; its pinned report has the other 12 with -inf scores among
-    finite ones)."""
+    column and the encoder falls back to an equal-weight draw (296 of
+    the 300 trials; its pinned report has the other 4 with -inf scores
+    among finite ones)."""
     triple = MarkovTriple(
         Pmf(np.array([0.3, 0.3, 0.4])),
         Channel(np.array([[.9, .1, 0], [0, .5, .5], [.2, 0, .8]])),
@@ -476,7 +495,8 @@ def test_scores_match_per_codeword_loop(nu, nx, num_j, n, trials,
 
 def _reference_encode(codebook, x_given_u, x_block, k, rng):
     """The likelihood encoder by its plain formula: the log table built
-    from the rows on every call, a 2-D fancy index and rng.choice."""
+    from the rows on every call, a 2-D fancy index and rng.choice, with
+    equal weights when every likelihood is zero."""
     num_j = codebook.shape[0]
     probs = x_given_u.rows[codebook[:, k, :], x_block[None, :]]
     with np.errstate(divide="ignore"):
@@ -484,7 +504,7 @@ def _reference_encode(codebook, x_given_u, x_block, k, rng):
                           -np.inf).sum(axis=1)
     top = scores.max()
     if not np.isfinite(top):
-        return int(rng.integers(num_j)), True
+        return int(rng.choice(num_j, p=np.full(num_j, 1.0 / num_j))), True
     w = np.exp(scores - top)
     w /= w.sum()
     return int(rng.choice(num_j, p=w)), False
