@@ -2,9 +2,10 @@
 
 At unlimited shared randomness the rate is the minimum coupling
 information. With none at all it is the minimum over Markov triples of
-the larger one-sided information, found here by a multi-start solver,
-and it is strictly cheaper than the zero-randomness closed form that
-additionally forces a deterministic index map.
+the larger one-sided information, found here by a linear program over
+the atoms of the index grown by column generation, and it is strictly
+cheaper than the zero-randomness closed form that additionally forces a
+deterministic index map.
 """
 
 import numpy as np

@@ -22,6 +22,7 @@ import numpy as np
 from .codesim import SimConfig, TrialRecord, run_simulation, soft_covering_exact
 from .info import CapExceeded, Channel, DistortionMatrix, DomainError, Pmf, binary_entropy
 from .region import (
+    I0_RESTARTS_CAP,
     GaussianSpec,
     MarkovTriple,
     bsc_boundary,
@@ -213,8 +214,8 @@ def _cmd_region_gauss(args) -> int:
     if sigma_x is None or sigma_y is None or d is None:
         raise ValueError("region-gauss needs sigma_x, sigma_y and d")
     rc_max = _scalar(args, cfg, "rc_max", DEFAULT_RC_MAX)
-    if not rc_max > 0.0:
-        raise ValueError("rc_max must be positive")
+    if not 0.0 < rc_max < math.inf:
+        raise ValueError("rc_max must be positive and finite")
     points = _grid_points(args, cfg)
     spec = GaussianSpec(sigma_x, sigma_y, d)
     curve = gaussian_boundary(spec, np.linspace(0.0, rc_max, points))
@@ -395,8 +396,12 @@ def _build_parser() -> _Parser:
         "JSON zero-shared-randomness rate for the binary symmetric pair",
         [fl_d])
     add("i0", _cmd_i0,
-        "JSON multi-start upper bound on the no-shared-randomness rate",
-        [("--restarts", {"type": int, "help": "restart count (default 64)"}),
+        "JSON no-shared-randomness rate: an atom LP grown by column "
+        "generation, an upper bound",
+        [("--restarts", {"type": int,
+                         "help": "random pricing starts per column-generation "
+                                 f"round (default 64, at most "
+                                 f"{I0_RESTARTS_CAP})"}),
          fl_seed])
     add("det-decoder", _cmd_det_decoder,
         "JSON minimum rate under a deterministic decoder")

@@ -12,7 +12,9 @@ This module computes the extreme points of that region:
 
 * mmi_constrained_output: min I(X; Y) over couplings of (mu, psi) with
   distortion at most d; the unlimited-shared-randomness rate floor.
-* i0_solver: min max(I(X;U), I(Y;U)); the no-shared-randomness rate.
+* i0_solver: min max(I(X;U), I(Y;U)); the no-shared-randomness rate,
+  as a linear program over the atoms (P(x|u), P(y|u)) of the index,
+  grown by column generation.
 * c0_bsc / wyner_bsc: closed-form sum-rate floor for the symmetric
   binary pair (the common-information value of a doubly symmetric
   binary source).
@@ -34,7 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
+from scipy.optimize._highspy import _core as highspy
 
 from .info import (
     CapExceeded,
@@ -48,8 +51,9 @@ from .info import (
     entropy,
     mutual_information,
 )
-from .transport import (COST_SLACK, Coupling, TransportProblem, _rows,
-                        optimal_face, repair_marginals, solve_ot)
+from .transport import (COST_SLACK, Coupling, TransportProblem,
+                        _highs_options, _rows, optimal_face,
+                        repair_marginals, solve_ot)
 
 INF = float("inf")
 
@@ -488,71 +492,26 @@ def empirical_region_min_rate(mu: Pmf, psi: Pmf, rho: DistortionMatrix,
 # max(1, rho_max)
 I0_COST_SLACK = 1e-6
 
-# table entries and index atoms lighter than this count as empty in the
-# information and distortion terms; it bounds their gradients, which
-# keeps the SLSQP subproblems well scaled
-_TABLE_FLOOR = 1e-12
+# random pricing starts per column-generation round; each start holds
+# |X| + |Y| floats and they are drawn afresh every round
+I0_RESTARTS_CAP = 4096
 
+# slack on the LP's distortion row: at exactly the minimum transport
+# cost HiGHS can stop with model status "Unknown"; far below
+# I0_COST_SLACK, which the marginal snap of a witness also spends
+_I0_BUDGET_SLACK = 1e-9
 
-def _i0_constraints(mu: np.ndarray, psi: np.ndarray, rho: np.ndarray,
-                    d: float, m_u: int) -> list[dict]:
-    """SLSQP constraints of min t over z = (jx, jy, t), where
-    jx[u, x] = P(u) a(x|u) and jy[u, y] = P(u) b(y|u) are flattened.
-
-    Equalities (linear): jx meets mu, jy meets psi but for its last
-    symbol (implied by the rest; SLSQP needs full row rank), and
-    jx.sum(1) == jy.sum(1). Inequalities, in nats: t >= I(X;U),
-    t >= I(Y;U), and d >= sum_u jx[u] rho jy[u]^T / P(u) with
-    P(u) = jx.sum(1).
-    """
-    nx, ny = mu.size, psi.size
-    cut = m_u * nx
-    size = cut + m_u * ny + 1
-
-    def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return z[:cut].reshape(m_u, nx), z[cut:-1].reshape(m_u, ny)
-
-    a_eq = np.zeros((nx + ny - 1 + m_u, size))
-    a_eq[:nx, :cut] = np.tile(np.eye(nx), m_u)
-    a_eq[nx:nx + ny - 1, cut:-1] = np.tile(np.eye(ny)[:-1], m_u)
-    a_eq[nx + ny - 1:, :cut] = np.kron(np.eye(m_u), np.ones(nx))
-    a_eq[nx + ny - 1:, cut:-1] = -np.kron(np.eye(m_u), np.ones(ny))
-    b_eq = np.concatenate([mu, psi[:-1], np.zeros(m_u)])
-
-    def log_ratio(j: np.ndarray, marginal: np.ndarray) -> np.ndarray:
-        # with the marginal held fixed, sum j log(j / (P_U x marginal))
-        # is convex in j, and this is its gradient
-        pu = j.sum(axis=1, keepdims=True)
-        return np.log(np.maximum(j, _TABLE_FLOOR)
-                      / np.maximum(pu * marginal, _TABLE_FLOOR))
-
-    def distortion_parts(z: np.ndarray):
-        # per_atom[u] = jx[u] rho jy[u]^T / P(u); the distortion is its sum
-        jx, jy = split(z)
-        pu = np.maximum(jx.sum(axis=1, keepdims=True), _TABLE_FLOOR)
-        rho_jy = jy @ rho.T
-        per_atom = (jx * rho_jy).sum(axis=1, keepdims=True) / pu
-        return jx, jy, pu, rho_jy, per_atom
-
-    def ineq(z: np.ndarray) -> np.ndarray:
-        jx, jy, _, _, per_atom = distortion_parts(z)
-        return np.array([z[-1] - float((jx * log_ratio(jx, mu)).sum()),
-                         z[-1] - float((jy * log_ratio(jy, psi)).sum()),
-                         d - float(per_atom.sum())])
-
-    def ineq_jac(z: np.ndarray) -> np.ndarray:
-        jx, jy, pu, rho_jy, per_atom = distortion_parts(z)
-        jac = np.zeros((3, size))
-        jac[:2, -1] = 1.0
-        jac[0, :cut] = -log_ratio(jx, mu).ravel()
-        jac[1, cut:-1] = -log_ratio(jy, psi).ravel()
-        jac[2, :cut] = -((rho_jy - per_atom) / pu).ravel()
-        jac[2, cut:-1] = -((jx @ rho) / pu).ravel()
-        return jac
-
-    return [{"type": "eq", "fun": lambda z: a_eq @ z - b_eq,
-             "jac": lambda z: a_eq},
-            {"type": "ineq", "fun": ineq, "jac": ineq_jac}]
+# column generation adds at most _I0_NEW_COLUMNS atoms a round, those
+# that gain more than _I0_GAIN_TOL bits, and stops when none does or
+# after _I0_ROUNDS rounds. Each pricing start alternates _I0_SWEEPS
+# times; where the gain is flat the alternation crawls, so a round that
+# finds no gaining atom runs the same chains _I0_SETTLE_SWEEPS more
+# times before the solver stops
+_I0_GAIN_TOL = 1e-7
+_I0_NEW_COLUMNS = 10
+_I0_ROUNDS = 500
+_I0_SWEEPS = 30
+_I0_SETTLE_SWEEPS = 300
 
 
 def _repair_triple(s: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -594,6 +553,109 @@ def _anchor_triples(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     return anchors
 
 
+def _atom_columns(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """LP columns of the atoms (a[k], b[k]), one per row: a, b but for
+    its last symbol, H(a), H(b) and the distortion a rho b^T."""
+    return np.column_stack([a, b[:, :-1], -_xlog2x(a).sum(axis=1),
+                            -_xlog2x(b).sum(axis=1),
+                            ((a @ rho) * b).sum(axis=1)])
+
+
+def _softmax2(v: np.ndarray) -> np.ndarray:
+    """Rows proportional to 2^v; -inf entries get no mass."""
+    v = v - v.max(axis=1, keepdims=True)
+    np.exp2(v, out=v)
+    v /= v.sum(axis=1, keepdims=True)
+    return v
+
+
+class _AtomLp:
+    """The rc = 0 atom LP on one live HiGHS model: min t over t and one
+    weight w[k] >= 0 per atom (a[k], b[k]) subject to
+
+        sum w a = mu,  sum w b = psi (its last row is implied),
+        t + sum w H(a) >= H(mu),  t + sum w H(b) >= H(psi),
+        sum w a rho b^T <= d + _I0_BUDGET_SLACK.
+
+    Columns are only ever added, so the last basis stays primal
+    feasible and the primal simplex re-solves warm from it.
+    """
+
+    def __init__(self, mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float):
+        self.rho = rho.costs
+        self.atoms_a = np.empty((0, mu.size))
+        self.atoms_b = np.empty((0, psi.size))
+        lower = np.concatenate([mu.probs, psi.probs[:-1],
+                                [entropy(mu), entropy(psi), -highspy.kHighsInf]])
+        upper = np.concatenate([mu.probs, psi.probs[:-1],
+                                [highspy.kHighsInf, highspy.kHighsInf,
+                                 d + _I0_BUDGET_SLACK]])
+        opts = _highs_options()
+        opts.simplex_strategy = (
+            highspy.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+        self.solver = highspy._Highs()
+        self.solver.passOptions(opts)
+        self.solver.addRows(lower.size, lower, upper, 0,
+                            np.zeros(lower.size, dtype=np.int32),
+                            np.empty(0, dtype=np.int32), np.empty(0))
+        # t: cost 1, in the two entropy rows
+        self.solver.addCol(1.0, 0.0, highspy.kHighsInf, 2,
+                           np.arange(lower.size - 3, lower.size - 1,
+                                     dtype=np.int32), np.ones(2))
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+        cols = _atom_columns(a, b, self.rho)
+        nonzero = cols != 0.0
+        counts = nonzero.sum(axis=1)
+        k = cols.shape[0]
+        self.solver.addCols(
+            k, np.zeros(k), np.zeros(k), np.full(k, highspy.kHighsInf),
+            int(counts.sum()),
+            np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int32),
+            np.nonzero(nonzero)[1].astype(np.int32), cols[nonzero])
+        self.atoms_a = np.vstack([self.atoms_a, a])
+        self.atoms_b = np.vstack([self.atoms_b, b])
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Atom weights and row duals of an optimal solve, or None. A
+        warm solve that ends anywhere but optimal is retried once from
+        scratch."""
+        optimal = highspy.HighsModelStatus.kOptimal
+        self.solver.run()
+        if self.solver.getModelStatus() != optimal:
+            self.solver.clearSolver()
+            self.solver.run()
+            if self.solver.getModelStatus() != optimal:
+                return None
+        solution = self.solver.getSolution()
+        return (np.array(solution.col_value[1:]),
+                np.array(solution.row_dual))
+
+
+def _price(duals: np.ndarray, b: np.ndarray, rho: np.ndarray, mu: Pmf,
+           psi: Pmf, sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms of high gain (column dotted with the row duals), found by
+    alternating from each row of b: for fixed b the gain is linear in a
+    plus y_hx H(a), so its maximizer is a base-2 softmax at temperature
+    y_hx, and the same holds in b. Massless symbols get a potential of
+    -inf: a softmax never puts exactly zero mass on a symbol, and an atom
+    with mass on one could never enter the LP."""
+    nx = mu.size
+    y_a = np.where(mu.probs > 0.0, duals[:nx], -INF)
+    y_b = np.where(psi.probs > 0.0,
+                   np.append(duals[nx:nx + psi.size - 1], 0.0), -INF)
+    # at a temperature of 0 the gain is linear on that side, and the
+    # floor makes the softmax pick its best vertex
+    t_a, t_b = max(duals[-3], 1e-12), max(duals[-2], 1e-12)
+    y_d = duals[-1]
+    offset_a, coupling_a = y_a / t_a, rho.T * (y_d / t_a)
+    offset_b, coupling_b = y_b / t_b, rho * (y_d / t_b)
+    for _ in range(sweeps):
+        a = _softmax2(b @ coupling_a + offset_a)
+        b = _softmax2(a @ coupling_b + offset_b)
+    return a, b
+
+
 def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
               restarts: int = 64, seed: int = 0,
               ) -> tuple[float, MarkovTriple | None]:
@@ -601,31 +663,34 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     min max(I(X;U), I(Y;U)) over conditional-independence couplings of
     (mu, psi) with expected distortion at most d.
 
-    Each restart is one SLSQP run of min t subject to t >= I(X;U),
-    t >= I(Y;U) and E[rho] <= d, over the joint tables
-    jx[u, x] = P(u) a(x|u) and jy[u, y] = P(u) b(y|u) and t. The
-    marginals and the common index law jx.sum(1) == jy.sum(1) are
-    linear equalities. With the marginals held, both informations are
-    convex in these tables, with gradients log(j / (P_U x marginal));
-    only the distortion sum_u jx[u] rho jy[u]^T / P(u) is not convex,
-    so the program is nonconvex and the method is a multi-start local
-    one. Restart k starts from one Dirichlet draw of (weights, a, b)
-    seeded by SeedSequence([seed, k]), and the restarts cycle through
-    the index cardinalities 2 .. |X| + |Y| + 1: good optima often live
-    on few atoms.
-
-    A solution whose marginals are within 1e-4 of (mu, psi) is snapped
-    onto them exactly by a transport composition (data processing: the
-    snap cannot raise either information term) and accepted if its
-    exact distortion is within I0_COST_SLACK * max(1, rho_max) of d.
+    Given U = u, X and Y are independent with laws a_u and b_u, so over
+    a fixed set of atoms (a_u, b_u) both informations and E[rho] are
+    linear in the weights P(u): I(X;U) = H(mu) - sum P(u) H(a_u), and
+    likewise for Y. The program is then a linear one (_AtomLp), the
+    dual of the concave-envelope view of Nair 2013. Column generation
+    grows the atom set: each round prices the basic atoms and `restarts`
+    Dirichlet draws of b (seeded once by SeedSequence([seed, 0])) by a
+    Blahut-Arimoto-style alternation (_price) and adds the best
+    _I0_NEW_COLUMNS atoms that gain more than _I0_GAIN_TOL bits. It
+    stops when none does, even after _I0_SETTLE_SWEEPS more sweeps of
+    the same chains, or after _I0_ROUNDS rounds. The starting pool
+    is the atoms of the anchors below plus the independent atom
+    (mu, psi), which enters even over budget. A basic solution uses at
+    most |X| + |Y| + 1 atoms.
 
     The U = Y and U = X readings of the minimum-cost coupling, and the
     independent triple if it fits, are always evaluated first, so a
     feasible problem always yields a triple; if one of them has 0 bits
-    no restart can beat it and the solver returns at once. The reported
-    value is the exact max-information of the best accepted triple: a
-    certified upper bound, not a certified optimum. Returns (inf, None)
-    when no coupling meets the budget.
+    the solver returns at once. The atoms of the last optimal LP are
+    snapped onto the marginals exactly by a transport composition (data
+    processing: the snap cannot raise either information term) and
+    compete with the anchors. A triple is accepted if its exact
+    distortion is within I0_COST_SLACK * max(1, rho_max) of d, and the
+    reported value is the exact max-information of the best accepted
+    triple: a certified upper bound, not a certified optimum (pricing is
+    a local search). Returns (inf, None) when no coupling meets the
+    budget. ValueError for restarts < 1; CapExceeded above
+    I0_RESTARTS_CAP.
     """
     if rho.shape != (mu.size, psi.size):
         raise ValueError("distortion matrix shape does not match marginals")
@@ -633,6 +698,9 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
         raise DomainError("distortion budget must be >= 0")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if restarts > I0_RESTARTS_CAP:
+        raise CapExceeded(f"{restarts} restarts exceed the cap of "
+                          f"{I0_RESTARTS_CAP}")
 
     base, _ = _min_cost_coupling(mu, psi, rho)
     if base.cost > d + COST_SLACK:
@@ -651,41 +719,42 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
             best_value = value
             best_triple = triple
 
-    for anchor in _anchor_triples(mu, psi, rho, d, base):
+    anchors = _anchor_triples(mu, psi, rho, d, base)
+    for anchor in anchors:
         consider(anchor)
     if best_value == 0.0:
         return best_value, best_triple
 
-    m_max = mu.size + psi.size + 1
-    constraints = {m: _i0_constraints(mu.probs, psi.probs, rho.costs, d, m)
-                   for m in range(2, m_max + 1)}
-    for restart in range(restarts):
-        m_u = 2 + restart % (m_max - 1)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=[int(seed), restart]))
-        weights = rng.dirichlet(np.ones(m_u))[:, None]
-        jx = weights * rng.dirichlet(np.ones(mu.size), size=m_u)
-        jy = weights * rng.dirichlet(np.ones(psi.size), size=m_u)
-        start = np.concatenate([jx.ravel(), jy.ravel(), [0.0]])
-        # t starts at max(I(X;U), I(Y;U)), read off the t >= I rows
-        start[-1] = -min(constraints[m_u][1]["fun"](start)[:2])
-        grad_t = np.zeros(start.size)
-        grad_t[-1] = 1.0
-        res = minimize(lambda z: z[-1], start, jac=lambda z: grad_t,
-                       method="SLSQP", constraints=constraints[m_u],
-                       bounds=[(0.0, 1.0)] * (start.size - 1) + [(0.0, None)],
-                       options={"maxiter": 200, "ftol": 1e-12})
-        cut = m_u * mu.size
-        jx = np.clip(res.x[:cut].reshape(m_u, mu.size), 0.0, None)
-        jy = np.clip(res.x[cut:-1].reshape(m_u, psi.size), 0.0, None)
-        s = jx.sum(axis=1) / jx.sum()
-        a, b = _rows(jx, mu.probs), _rows(jy, psi.probs)
-        if np.max(np.abs(np.concatenate(
-                [s @ a - mu.probs, s @ b - psi.probs]))) > 1e-4:
-            continue
-        try:
-            consider(_repair_triple(s, a, b, mu, psi))
-        except (ValueError, RuntimeError):
-            continue
+    lp = _AtomLp(mu, psi, rho, d)
+    lp.add(np.vstack([t.x_given_u.rows for t in anchors] + [mu.probs]),
+           np.vstack([t.y_given_u.rows for t in anchors] + [psi.probs]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    basic = None
+    for _ in range(_I0_ROUNDS):
+        solved = lp.solve()
+        if solved is None:
+            break
+        weights, duals = solved
+        used = weights > 0.0
+        basic = (weights[used], lp.atoms_a[used], lp.atoms_b[used])
+        b = np.vstack([basic[2],
+                       rng.dirichlet(np.ones(psi.size), size=restarts)])
+        for sweeps in (_I0_SWEEPS, _I0_SETTLE_SWEEPS):
+            a, b = _price(duals, b, rho.costs, mu, psi, sweeps)
+            gain = _atom_columns(a, b, rho.costs) @ duals
+            new = np.argsort(-gain, kind="stable")[:_I0_NEW_COLUMNS]
+            new = new[gain[new] > _I0_GAIN_TOL]
+            if new.size:
+                break
+        if new.size == 0:
+            break
+        lp.add(a[new], b[new])
 
+    if basic is not None:
+        weights, a, b = basic
+        try:
+            consider(_repair_triple(weights / weights.sum(), a, b, mu, psi))
+        except ValueError:
+            # more atoms than a MarkovTriple holds: t left the basis
+            pass
     return best_value, best_triple

@@ -4,6 +4,7 @@ contracts, exit codes, determinism of written artifacts."""
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from ocrate import binary_entropy, c0_bsc
 from ocrate.cli import MAX_POINTS
+from ocrate.region import I0_RESTARTS_CAP
 
 HAMMING_ROWS = [[0.0, 1.0], [1.0, 0.0]]
 BSC25_ROWS = [[0.75, 0.25], [0.25, 0.75]]
@@ -103,6 +105,18 @@ def test_region_gauss_loose_budget_costs_nothing():
     _, rows = parse_csv(proc.stdout)
     assert all(float(r[1]) == 0.0 for r in rows)
     assert rows[-1][0] == "inf"
+
+
+def test_region_gauss_rejects_an_infinite_rc_max(tmp_path):
+    gauss = ("region-gauss", "--sigma-x", "1", "--sigma-y", "1", "--d", "0.5")
+    for argv in ((*gauss, "--rc-max", "inf"), (*gauss, "--rc-max", "nan"),
+                 (*gauss, "--config", write_config(tmp_path,
+                                                   {"rc_max": 1e400}))):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert proc.stderr == ("ocrate: invalid input: rc_max must be "
+                               "positive and finite\n")
+        assert proc.stdout == ""
 
 
 def _assert_json_round_trip(text):
@@ -210,6 +224,24 @@ def test_i0_reaches_known_value(tmp_path):
     witness = payload["witness"]
     assert set(witness) == {"weights", "x_given_u", "y_given_u"}
     assert abs(sum(witness["weights"]) - 1.0) <= 1e-9
+
+
+def _limit_address_space():
+    # a solver that allocated its starts before the cap check would end
+    # in a MemoryError here instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_i0_restarts_past_the_cap_exit_with_cap_code():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ocrate.cli", "i0", "--config",
+         str(DEMO_CONFIGS / "i0.json"), "--restarts", "1000000000"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"ocrate: resource cap: 1000000000 restarts "
+                           f"exceed the cap of {I0_RESTARTS_CAP}\n")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_det_decoder_with_infinite_shared_rate(tmp_path):
@@ -340,6 +372,55 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, x_given_u):
                         (tmp_path / f"threads{threads}.trials.csv").read_text()))
     assert json.loads(written[0][0])["mode"] == "monte-carlo"
     assert written[0] == written[1]
+
+
+# runs each command given as a JSON list of argv lists through
+# ocrate.cli.main in one interpreter; prints [[exit code, stdout], ...]
+_MAIN_LOOP = """
+import contextlib, io, json, sys
+from ocrate.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_command_is_blas_thread_independent(tmp_path):
+    """Every command on its demos/configs input writes the same bytes
+    under one and two OpenBLAS threads: one interpreter per thread count
+    runs them all."""
+    def config(name):
+        return ["--config", str(DEMO_CONFIGS / name)]
+
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}" / "simulate.json"
+        out.parent.mkdir()
+        commands = [["region-bsc", *config("region_bsc.json")],
+                    ["region-gauss", *config("region_gauss.json")],
+                    ["mmi", *config("mmi.json")],
+                    ["i0", *config("i0.json")],
+                    ["c0", "--d", "0.25"], ["wyner", "--a0", "0.25"],
+                    ["synthesis-bsc", "--d", "0.25"],
+                    ["det-decoder", *config("det_decoder.json")],
+                    ["empirical", *config("empirical.json")],
+                    ["simulate", *config("simulate.json"), "--out", str(out)],
+                    ["softcover", *config("softcover.json")]]
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN_LOOP, json.dumps(commands)],
+            capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert [code for code, _ in results] == [0] * len(commands)
+        written.append((results, out.read_text(),
+                        out.with_suffix(".trials.csv").read_text()))
+    for one, two, argv in zip(written[0][0], written[1][0], commands):
+        assert one == two, argv
+    assert written[0][1:] == written[1][1:]
 
 
 def test_simulate_requires_out(sim_config):
