@@ -19,31 +19,32 @@ Two modes:
   enumeration tensor, and with correction at most 2^20 cells in the
   |Y|^n x |Y|^n correction plan, so binary n <= 10 and ternary
   n <= 6). Output-law total variation, the idealized
-  mixture law, and all mean distortions are computed exactly; trials
-  are draws from the exact conditionals.
+  mixture law, and all mean distortions are computed exactly. The
+  correction relabels each trial's output block through the exact
+  plan's row of its block index.
 * monte-carlo: beyond the caps. Per-trial sampling only; the output
   total variation is the biased plug-in estimate from the empirical
   block histogram and is flagged as such, and the correction stage
   couples the pooled single-letter empirical law instead of the block
-  law (also flagged, via mode). The trial loop runs in two passes over
-  one random stream. The first draws, trial by trial, the source
-  uniforms, k, the encoder's uniform and the decoder's uniforms; none
-  of these depends on the encoder's scores. The second scores the
-  trials in batches that share k and picks each j by inverting its
-  CDF at the stored uniform; a trial whose block has zero likelihood
-  under every codeword of its column takes its j from the same
-  uniform with equal weights, as in exact mode. One decode call then
-  emits every block. A batch's scores are one matrix product per
-  j-slice of its codebook column: the slice's one-hot times the
-  batch's table of per-letter log-likelihoods. The draws are those of
-  a loop that encodes and decodes one trial at a time. Only the last
-  bits of the scores follow the product's summation order, so a j
-  can differ from that loop's only where the encoder's uniform lies
-  within round-off of a CDF step. The decoder and the correction's
-  relabelling draw letters by one row-CDF sampler.
+  law (also flagged, via mode) and relabels letter by letter.
 
-Both modes keep per-trial arrays of trials x n letters, capped at 2^24
-cells.
+Both modes draw their trials by one loop in two passes over one random
+stream. The first draws, trial by trial, the source uniforms, k, the
+encoder's uniform and the decoder's uniforms; none of these depends on
+the encoder's scores. The second scores the trials in batches that
+share k and picks each j by inverting its CDF at the stored uniform; a
+trial whose block has zero likelihood under every codeword of its
+column takes its j from the same uniform with equal weights, which is
+the exact encoder's law on such a block. One decode call then emits
+every block. A batch's scores are one matrix product per j-slice of
+its codebook column: the slice's one-hot times the batch's table of
+per-letter log-likelihoods. The draws are those of a loop that encodes
+and decodes one trial at a time. Only the last bits of the scores
+follow the product's summation order, so a j can differ from that
+loop's only where the encoder's uniform lies within round-off of a CDF
+step. The decoder and both corrections' relabelling draw by one
+row-CDF sampler. Both modes keep per-trial arrays of trials x n
+letters, capped at 2^24 cells.
 
 Everything is deterministic given the config seed: independent numpy
 SeedSequence streams (seed, tag) drive the codebook draw, the trial
@@ -93,14 +94,6 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     return cdf
-
-
-def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
-    """One index drawn from the weights p; numpy's own algorithm for
-    rng.choice(p.size, p=p), so the same uniform gives the same index,
-    without its argument checks. Letter draws of size m are
-    _letters(_cdf(p), rng.random(m), out)."""
-    return int(_cdf(p).searchsorted(rng.random(), side="right"))
 
 
 def _letters(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -291,10 +284,10 @@ def _scores(log_rows: np.ndarray, x_blocks: np.ndarray,
 def _pick(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the index drawn with probability proportional to
     exp(scores) from the uniform u: the count of normalized-CDF entries
-    at most u, which is _draw's searchsorted on the same uniform. A row
-    with no finite score is drawn with equal weights from its uniform,
-    as rng.choice(num_j, p=np.full(num_j, 1 / num_j)) draws it; the
-    second array flags those rows."""
+    at most u, which is rng.choice's searchsorted on the same uniform.
+    A row with no finite score is drawn with equal weights from its
+    uniform, as rng.choice(num_j, p=np.full(num_j, 1 / num_j)) draws
+    it; the second array flags those rows."""
     top = scores.max(axis=1, keepdims=True)
     fallback = np.isneginf(top[:, 0])
     top[fallback] = 0.0
@@ -365,9 +358,11 @@ def mixture_output_law(codewords: np.ndarray, channel: Channel,
     T_p = sum_v W[v] (x) T_{p.v} over its extensions, so a prefix
     shared by many codewords is multiplied out once. Distinct prefixes
     never outnumber the codewords, so the work never exceeds one
-    Kronecker product per codeword. The distinct words are folded in
-    chunks of at most max(1, _CHUNK_WORK // |Y|^n) words, so no tensor
-    has more than max(_CHUNK_WORK, |Y|^n) cells."""
+    Kronecker product per codeword. The tensor of position p holds one
+    row of |Y|^(n-p) cells per distinct length-(p+1) prefix, so the
+    distinct words are folded in the longest runs whose prefixes fit at
+    every position, and no tensor has more than max(_CHUNK_WORK, |Y|^n)
+    cells."""
     codewords = np.atleast_2d(codewords)
     m, n = codewords.shape
     ny = channel.output_size
@@ -384,11 +379,22 @@ def mixture_output_law(codewords: np.ndarray, channel: Channel,
     counts = np.diff(np.append(distinct, m)).astype(float)
     words, first_diff = words[distinct], first_diff[distinct]
     law = np.zeros(num_blocks)
-    chunk = max(1, _CHUNK_WORK // num_blocks)
-    for lo in range(0, words.shape[0], chunk):
+    cells = max(_CHUNK_WORK, num_blocks)
+    # per position p, the words that begin a length-(p+1) prefix and how
+    # many such prefixes one tensor holds
+    limits = [(np.flatnonzero(first_diff <= p), cells // ny ** (n - p))
+              for p in range(n)]
+    lo = 0
+    while lo < words.shape[0]:
+        hi = words.shape[0]
+        for begins, most in limits:
+            # the chunk's first word begins a prefix at every position
+            stop = begins.searchsorted(lo, side="right") + most - 1
+            if stop < begins.size:
+                hi = min(hi, int(begins[stop]))
         # heads[g] is the first word of the g-th distinct prefix of the
         # current length; a chunk's first word heads every prefix
-        heads = np.arange(lo, min(lo + chunk, words.shape[0]))
+        heads = np.arange(lo, hi)
         fold = counts[heads, None]
         starts = first_diff[heads]
         starts[0] = -1
@@ -400,6 +406,7 @@ def mixture_output_law(codewords: np.ndarray, channel: Channel,
             fold = np.add.reduceat(fold, keep, axis=0)
             heads, starts = heads[keep], starts[keep]
         law += fold[0]
+        lo = hi
     return law / m
 
 
@@ -486,7 +493,6 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     for i in range(n):
         likel *= a[codebook[:, :, i], :][:, :, xb[:, i]].transpose(2, 0, 1)
     denom = likel.sum(axis=1, keepdims=True)
-    fallback = denom[:, 0, :] <= 0.0
     enc = np.where(denom > 0.0, likel / np.maximum(denom, 1e-300),
                    1.0 / num_j)
 
@@ -511,8 +517,8 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     pre_d = float(np.einsum("xy,xy->", joint, rho_xy))
     tv_pre = total_variation(out_law, psi_n)
 
-    cond = None
-    rho_yy = None
+    xs, ks, js, fbs, ys = _trial_loop(cfg, codebook, num_j, num_k)
+    final = None
     ot_cost = None
     bound = None
     slack = None
@@ -527,31 +533,15 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
         tv_final = total_variation(final_law, psi_n)
         bound = float((pre_d ** (1.0 / q) + ot_cost ** (1.0 / q)) ** q)
         slack = bound - single
+        # relabel each trial's block through the plan row of its block
+        # index, first letter most significant as in all_blocks
+        y_idx = ys @ ny ** np.arange(n - 1, -1, -1)
+        u = _stream(cfg.seed, _STREAM_CORRECTION).random(cfg.trials)
+        final = yb[_sample_rows(cond.cumsum(axis=1), y_idx, u)]
     else:
         mean_d = pre_d
         tv_final = tv_pre
-
-    rng = _stream(cfg.seed, _STREAM_TRIALS)
-    records = []
-    fallbacks = 0
-    for t in range(cfg.trials):
-        k = int(rng.integers(num_k))
-        x_idx = _draw(rng, mu_n)
-        fb = bool(fallback[x_idx, k])
-        fallbacks += fb
-        j = _draw(rng, enc[x_idx, :, k])
-        y_idx = _draw(rng, dec[j, k])
-        rec = TrialRecord(trial=t, k=k, j=j, encoder_fallback=fb,
-                          distortion=float(rho_xy[x_idx, y_idx]))
-        if cfg.correction:
-            y_hat = _draw(rng, cond[y_idx])
-            rec.add_correction(float(rho_yy[y_idx, y_hat]),
-                               float(rho_xy[x_idx, y_hat]), q)
-        records.append(rec)
-
-    trial_mean = (float(np.mean([
-        r.corrected_distortion if cfg.correction else r.distortion
-        for r in records])) if records else None)
+    records, trial_mean = _trial_records(cfg, xs, ks, js, fbs, ys, final)
 
     return SimReport(
         mode="exact", n=n, num_j=num_j, num_k=num_k,
@@ -559,7 +549,7 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
         mean_distortion=mean_d,
         tv_output_vs_iid=tv_final,
         tv_output_is_plugin=False,
-        encoder_fallbacks=fallbacks,
+        encoder_fallbacks=int(fbs.sum()),
         idealized_distortion=idealized,
         pre_correction_distortion=pre_d,
         trial_mean_distortion=trial_mean,
@@ -574,8 +564,8 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
 
 def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
                 num_k: int) -> tuple[np.ndarray, ...]:
-    """The Monte-Carlo trials in two passes over the trial stream (see
-    the module docstring): source blocks, k, j, fallback flags and
+    """The trials of both modes in two passes over the trial stream
+    (see the module docstring): source blocks, k, j, fallback flags and
     decoded blocks, one row or entry per trial."""
     n = cfg.n
     rng = _stream(cfg.seed, _STREAM_TRIALS)
@@ -611,19 +601,37 @@ def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     return xs, ks, js, fbs, ys
 
 
-def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
-                     num_k: int, single: float) -> SimReport:
-    if cfg.trials < 1:
-        raise ValueError("monte-carlo mode needs at least one trial")
-    psi = cfg.triple.induced_y().probs
+def _trial_records(cfg: SimConfig, xs: np.ndarray, ks: np.ndarray,
+                   js: np.ndarray, fbs: np.ndarray, ys: np.ndarray,
+                   final: np.ndarray | None
+                   ) -> tuple[list[TrialRecord], float]:
+    """The records of the trials that _trial_loop drew and their mean
+    distortion, after the correction when it is on; final holds the
+    relabelled blocks and is read only then."""
     rho = cfg.rho.costs
     q = max(1.0, cfg.metric_power)
-    xs, ks, js, fbs, ys = _trial_loop(cfg, codebook, num_j, num_k)
     d_pre = rho[xs, ys].mean(axis=1)
+    if cfg.correction:
+        moves = rho[ys, final].mean(axis=1)
+        d_post = rho[xs, final].mean(axis=1)
+    records = []
+    for t in range(cfg.trials):
+        rec = TrialRecord(trial=t, k=int(ks[t]), j=int(js[t]),
+                          encoder_fallback=bool(fbs[t]),
+                          distortion=float(d_pre[t]))
+        if cfg.correction:
+            rec.add_correction(float(moves[t]), float(d_post[t]), q)
+        records.append(rec)
+    return records, float((d_post if cfg.correction else d_pre).mean())
+
+
+def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
+                     num_k: int, single: float) -> SimReport:
+    psi = cfg.triple.induced_y().probs
+    rho = cfg.rho.costs
+    xs, ks, js, fbs, ys = _trial_loop(cfg, codebook, num_j, num_k)
 
     final = ys
-    moves = None
-    d_post = None
     if cfg.correction:
         # single-letter surrogate: couple the pooled empirical symbol
         # law to the target symbols and relabel letter by letter
@@ -633,8 +641,7 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
                         ).conditional_rows()
         u = _stream(cfg.seed, _STREAM_CORRECTION).random(ys.shape)
         final = _sample_rows(cond.cumsum(axis=1), ys, u)
-        moves = rho[ys, final].mean(axis=1)
-        d_post = rho[xs, final].mean(axis=1)
+    records, mean_d = _trial_records(cfg, xs, ks, js, fbs, ys, final)
 
     # biased plug-in total variation against the iid block law
     blocks, counts = np.unique(final, axis=0, return_counts=True)
@@ -642,24 +649,13 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     iid_mass = np.prod(psi[blocks], axis=1)
     tv_plugin = float(1.0 - np.minimum(emp_mass, iid_mass).sum())
 
-    records = []
-    fallbacks = int(fbs.sum())
-    for t in range(cfg.trials):
-        rec = TrialRecord(trial=t, k=int(ks[t]), j=int(js[t]),
-                          encoder_fallback=bool(fbs[t]),
-                          distortion=float(d_pre[t]))
-        if cfg.correction:
-            rec.add_correction(float(moves[t]), float(d_post[t]), q)
-        records.append(rec)
-
-    mean_d = float((d_post if cfg.correction else d_pre).mean())
     return SimReport(
         mode="monte-carlo", n=cfg.n, num_j=num_j, num_k=num_k,
         single_letter_distortion=float(single),
         mean_distortion=mean_d,
         tv_output_vs_iid=tv_plugin,
         tv_output_is_plugin=True,
-        encoder_fallbacks=fallbacks,
+        encoder_fallbacks=int(fbs.sum()),
         trial_mean_distortion=mean_d,
         trials=records,
     )

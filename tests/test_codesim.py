@@ -4,6 +4,7 @@ the correction stage, and the soft-covering trend."""
 
 import json
 import math
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from unittest.mock import patch
@@ -27,7 +28,7 @@ from ocrate import (
     soft_covering_exact,
 )
 from ocrate import codesim
-from ocrate.codesim import _cdf, _choose_mode, _draw, _letters
+from ocrate.codesim import _cdf, _choose_mode, _letters
 from oracles import mixture_law_by_loop
 
 PINNED = Path(__file__).parent / "pinned"
@@ -164,12 +165,15 @@ def test_batched_decode_matches_row_inversion(nu, ny, num_k, n, seed):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 9),
+@given(st.integers(1, 64), st.integers(1, 30), st.integers(1, 9),
        st.integers(0, 2 ** 32 - 1))
+@example(64, 30, 1, 0).via("rows as wide as a binary n = 6 block plan")
 def test_correction_relabel_matches_comparison_tensor(size, trials, n, seed):
-    """The Monte-Carlo correction relabels through the decoder's row
-    sampler; that is the count over the whole (trials, n, size)
-    comparison tensor, capped at the last symbol."""
+    """Both correction stages relabel through the decoder's row
+    sampler: the Monte-Carlo one letter by letter, the exact one on
+    block indices with |Y|^n-wide plan rows. That is the count over the
+    whole (trials, n, size) comparison tensor, capped at the last
+    symbol."""
     gen = np.random.default_rng(seed)
     cum = _zero_rich_channel(gen, size, size).rows.cumsum(1)
     ys = gen.integers(size, size=(trials, n))
@@ -224,6 +228,45 @@ def test_mixture_output_law_matches_a_product_per_codeword(
             law = mixture_output_law(words, chan)
     assert law.shape == (ny ** n,)
     assert np.max(np.abs(law - mixture_law_by_loop(words, chan.rows))) <= 1e-15
+    assert abs(law.sum() - 1.0) <= 1e-12
+
+
+class _RowReads:
+    """A channel that counts the reads of its rows: mixture_output_law
+    reads them once per position of each chunk it folds."""
+
+    def __init__(self, chan: Channel):
+        self.chan, self.reads = chan, 0
+        self.output_size = chan.output_size
+
+    @property
+    def rows(self) -> np.ndarray:
+        self.reads += 1
+        return self.chan.rows
+
+
+def test_mixture_output_law_chunks_by_the_cells_of_each_position():
+    """Chunks are cut by the cells each position's tensor holds, not by
+    word count. 3000 binary words of length 16 fold in one chunk (by
+    word count they took 98 chunks of at most 30 words). With a cap of
+    2^14 cells (128 KiB), 2000 words over a 4-letter index alphabet
+    fold with a peak below 2 MiB, where one chunk of all of them holds
+    2000 x 2^8 cells at position 6 and peaks near 11 MiB."""
+    gen = np.random.default_rng(0)
+    chan = Channel(gen.dirichlet(np.ones(2), 4))
+    counted = _RowReads(chan)
+    words = gen.integers(2, size=(3000, 16))
+    mixture_output_law(words, counted)
+    assert counted.reads == 16
+    words = gen.integers(4, size=(2000, 14))
+    with patch.object(codesim, "_CHUNK_WORK", 2 ** 14):
+        tracemalloc.start()
+        try:
+            law = mixture_output_law(words, chan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
     assert abs(law.sum() - 1.0) <= 1e-12
 
 
@@ -357,8 +400,24 @@ def test_exact_report_bytes_are_pinned(name, changes):
                    ("mean_distortion", "tv_output_vs_iid"))
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_exact_trials_follow_the_exact_laws(n):
+    """Exact-mode trials are draws from the enumerated laws of their
+    codebook: their mean distortion before and after the correction
+    lies within 4 standard errors of the exact means."""
+    rep = run_simulation(_demo_config(n=n, trials=20000))
+    assert rep.mode == "exact"
+    pre = np.array([rec.distortion for rec in rep.trials])
+    post = np.array([rec.corrected_distortion for rec in rep.trials])
+    assert rep.trial_mean_distortion == post.mean()
+    for draws, exact in ((pre, rep.pre_correction_distortion),
+                         (post, rep.mean_distortion)):
+        error = draws.std() / math.sqrt(draws.size)
+        assert abs(draws.mean() - exact) <= 4.0 * error
+
+
 @pytest.mark.parametrize("name, make_config", [
-    ("simulate_mc_binary_n24", lambda: _demo_config(
+    ("simulate_mc_binary_n24",lambda: _demo_config(
         y_given_u=[[0.9, 0.1], [0.2, 0.8]], n=24, r=0.3, rc=0.1,
         trials=200, mode="monte-carlo")),
     ("simulate_mc_fallback_n12", _fallback_config),
@@ -392,13 +451,11 @@ def test_exact_mode_at_the_plan_cap():
 @given(st.lists(st.sampled_from([0.0, 1e-12, 0.1, 0.5, 1.0, 3.0, 7.25]),
                 min_size=1, max_size=12).filter(lambda w: sum(w) > 0.0),
        st.integers(0, 2 ** 32 - 1))
-def test_draw_matches_numpy_choice(weights, seed):
+def test_letters_match_numpy_choice(weights, seed):
+    """The letter draws of the codebook and the Monte-Carlo source
+    blocks, size n at once, are rng.choice's from the same uniforms."""
     p = np.array(weights) / sum(weights)
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        assert _draw(fast, p) == int(slow.choice(p.size, p=p))
-    # the letter draws of the codebook and the Monte-Carlo source
-    # blocks, size n at once
     for n in (1, 7):
         np.testing.assert_array_equal(
             _letters(_cdf(p), fast.random(n), np.empty(n, dtype=np.intp)),
