@@ -28,23 +28,20 @@ Two modes:
   couples the pooled single-letter empirical law instead of the block
   law (also flagged, via mode) and relabels letter by letter.
 
-Both modes draw their trials by one loop in two passes over one random
-stream. The first draws, trial by trial, the source uniforms, k, the
-encoder's uniform and the decoder's uniforms; none of these depends on
-the encoder's scores. The second scores the trials in batches that
-share k and picks each j by inverting its CDF at the stored uniform; a
-trial whose block has zero likelihood under every codeword of its
-column takes its j from the same uniform with equal weights, which is
-the exact encoder's law on such a block. One decode call then emits
-every block. A batch's scores are one matrix product per j-slice of
-its codebook column: the slice's one-hot times the batch's table of
-per-letter log-likelihoods. The draws are those of a loop that encodes
-and decodes one trial at a time. Only the last bits of the scores
-follow the product's summation order, so a j can differ from that
-loop's only where the encoder's uniform lies within round-off of a CDF
-step. The decoder and both corrections' relabelling draw by one
-row-CDF sampler. Both modes keep per-trial arrays of trials x n
-letters, capped at 2^24 cells.
+Both modes draw their trials in two passes over one random stream. The
+first draws four arrays, in this order: the source uniforms (trials x
+n), k (one per trial), the encoder uniforms (one per trial) and the
+decoder uniforms (trials x n); none of these depends on the encoder's
+scores. The second scores the trials in batches that share k and picks
+each j by inverting its CDF at the stored uniform; a trial whose block
+has zero likelihood under every codeword of its column takes its j
+from the same uniform with equal weights, which is the exact encoder's
+law on such a block. One decode call then emits every block. A batch's
+scores are one matrix product per j-slice of its codebook column: the
+slice's one-hot times the batch's table of per-letter log-likelihoods.
+The decoder and both corrections' relabelling draw by one row-CDF
+sampler. Both modes keep per-trial arrays of trials x n letters,
+capped at 2^24 cells.
 
 Everything is deterministic given the config seed: independent numpy
 SeedSequence streams (seed, tag) drive the codebook draw, the trial
@@ -59,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .info import (
+    DEFAULT_BLOCK_CAP,
     CapExceeded,
     Channel,
     DistortionMatrix,
@@ -71,7 +69,6 @@ from .region import MarkovTriple
 from .transport import TransportProblem, solve_ot
 
 CODEBOOK_CAP = 2 ** 24
-BLOCK_CAP = 10 ** 7
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
 PLAN_CAP = 2 ** 20          # cells of the block-correction plan
 TRIAL_CAP = 2 ** 24         # trials x n cells of the per-trial arrays
@@ -171,15 +168,6 @@ class TrialRecord:
     corrected_distortion: float | None = None
     triangle_ok: bool | None = None
 
-    def add_correction(self, move: float, corrected: float, q: float) -> None:
-        """Record the correction stage of this trial and check the
-        per-block triangle inequality
-        corrected^(1/q) <= distortion^(1/q) + move^(1/q)."""
-        self.correction_move = move
-        self.corrected_distortion = corrected
-        rhs = self.distortion ** (1.0 / q) + move ** (1.0 / q)
-        self.triangle_ok = bool(corrected ** (1.0 / q) <= rhs + 1e-9)
-
     def to_dict(self) -> dict:
         return dict(vars(self))
 
@@ -215,7 +203,7 @@ class SimReport:
 
 
 def generate_codebook(triple: MarkovTriple, n: int, r: float, rc: float,
-                      seed: int, cap: int = CODEBOOK_CAP) -> np.ndarray:
+                      seed: int) -> np.ndarray:
     """Draw the (ceil(2^{n r}), ceil(2^{n rc}), n) index-word array iid
     from the triple's index law. Deterministic given the seed. The
     dtype is the smallest signed integer that holds every index
@@ -225,8 +213,9 @@ def generate_codebook(triple: MarkovTriple, n: int, r: float, rc: float,
         raise ValueError("block length must be >= 1")
     num_j = _ceil_codes(n * r)
     num_k = _ceil_codes(n * rc)
-    if num_j * num_k > cap:
-        raise CapExceeded(f"codebook of {num_j}x{num_k} words exceeds cap {cap}")
+    if num_j * num_k > CODEBOOK_CAP:
+        raise CapExceeded(f"codebook of {num_j}x{num_k} words exceeds cap "
+                          f"{CODEBOOK_CAP}")
     if num_j * num_k * n > 2 ** 27:
         raise CapExceeded("codebook array too large to materialize")
     # rng.choice(..., p=...) over the whole array, drawn in j-slices so
@@ -346,7 +335,7 @@ def decode(codebook: np.ndarray, j: np.ndarray, k: np.ndarray,
 
 
 def mixture_output_law(codewords: np.ndarray, channel: Channel,
-                       cap: int = BLOCK_CAP) -> np.ndarray:
+                       cap: int = DEFAULT_BLOCK_CAP) -> np.ndarray:
     """Exact law of a block emitted by first picking one of the given
     codewords uniformly, then passing it through the channel
     memorylessly. Blocks are indexed lexicographically, first symbol
@@ -447,9 +436,9 @@ def _choose_mode(cfg: SimConfig, num_j: int, num_k: int) -> str:
     nx = cfg.triple.x_given_u.output_size
     ny = cfg.triple.y_given_u.output_size
     codes = num_j * num_k
-    fits = (nx ** cfg.n <= BLOCK_CAP and ny ** cfg.n <= BLOCK_CAP
-            and codes <= CODEBOOK_CAP
-            and (nx ** cfg.n) * codes <= WORK_CAP
+    # codes >= 1, so these products also bound |X|^n, |Y|^n and the
+    # codebook's word count
+    fits = ((nx ** cfg.n) * codes <= WORK_CAP
             and (ny ** cfg.n) * codes <= WORK_CAP
             and (nx ** cfg.n) * (ny ** cfg.n) <= WORK_CAP
             and (not cfg.correction or ny ** (2 * cfg.n) <= PLAN_CAP))
@@ -564,26 +553,21 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
 
 def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
                 num_k: int) -> tuple[np.ndarray, ...]:
-    """The trials of both modes in two passes over the trial stream
-    (see the module docstring): source blocks, k, j, fallback flags and
-    decoded blocks, one row or entry per trial."""
+    """The trials of both modes: source blocks, k, j, fallback flags
+    and decoded blocks, one row or entry per trial. Pass 1 draws the
+    four arrays of the trial stream, pass 2 scores, picks and decodes
+    from them (see the module docstring)."""
     n = cfg.n
     rng = _stream(cfg.seed, _STREAM_TRIALS)
     cdf = _cdf(cfg.triple.induced_x().probs)
     log_rows = cfg.triple.x_given_u.log_rows
 
-    # pass 1: the trial stream, drawn in the per-trial order source
-    # uniforms, k, encoder uniform, decoder uniforms
+    # pass 1: the trial stream
     trials = cfg.trials
-    x_u = np.empty((trials, n))
-    dec_u = np.empty((trials, n))
-    enc_u = np.empty(trials)
-    ks = np.empty(trials, dtype=np.intp)
-    for t in range(trials):
-        rng.random(out=x_u[t])
-        ks[t] = rng.integers(num_k)
-        enc_u[t] = rng.random()
-        rng.random(out=dec_u[t])
+    x_u = rng.random((trials, n))
+    ks = rng.integers(num_k, size=trials)
+    enc_u = rng.random(trials)
+    dec_u = rng.random((trials, n))
 
     # pass 2: score every trial in batches that share k
     xs = _letters(cdf, x_u, np.empty((trials, n), dtype=np.intp))
@@ -607,21 +591,22 @@ def _trial_records(cfg: SimConfig, xs: np.ndarray, ks: np.ndarray,
                    ) -> tuple[list[TrialRecord], float]:
     """The records of the trials that _trial_loop drew and their mean
     distortion, after the correction when it is on; final holds the
-    relabelled blocks and is read only then."""
+    relabelled blocks and is read only then. With the correction each
+    record checks the per-block triangle inequality
+    corrected^(1/q) <= distortion^(1/q) + move^(1/q) at
+    q = max(1, metric_power)."""
     rho = cfg.rho.costs
-    q = max(1.0, cfg.metric_power)
     d_pre = rho[xs, ys].mean(axis=1)
+    columns = [range(cfg.trials), ks.tolist(), js.tolist(), fbs.tolist(),
+               d_pre.tolist()]
     if cfg.correction:
+        q = max(1.0, cfg.metric_power)
         moves = rho[ys, final].mean(axis=1)
         d_post = rho[xs, final].mean(axis=1)
-    records = []
-    for t in range(cfg.trials):
-        rec = TrialRecord(trial=t, k=int(ks[t]), j=int(js[t]),
-                          encoder_fallback=bool(fbs[t]),
-                          distortion=float(d_pre[t]))
-        if cfg.correction:
-            rec.add_correction(float(moves[t]), float(d_post[t]), q)
-        records.append(rec)
+        ok = d_post ** (1.0 / q) <= (d_pre ** (1.0 / q) + moves ** (1.0 / q)
+                                     + 1e-9)
+        columns += [moves.tolist(), d_post.tolist(), ok.tolist()]
+    records = [TrialRecord(*row) for row in zip(*columns)]
     return records, float((d_post if cfg.correction else d_pre).mean())
 
 

@@ -238,7 +238,7 @@ def total_variation(p: Pmf | np.ndarray, q: Pmf | np.ndarray) -> float:
     return float(0.5 * np.abs(pa - qa).sum())
 
 
-def product_extension(p: Pmf, n: int, cap: int = DEFAULT_BLOCK_CAP) -> Pmf:
+def product_extension(p: Pmf, n: int) -> Pmf:
     """IID n-fold product law over blocks, lexicographic block index.
 
     The first symbol of the block is the most significant digit of the
@@ -246,18 +246,20 @@ def product_extension(p: Pmf, n: int, cap: int = DEFAULT_BLOCK_CAP) -> Pmf:
     """
     if n < 1:
         raise DomainError("block length must be >= 1")
-    if p.size ** n > cap:
-        raise CapExceeded(f"{p.size}^{n} block alphabet exceeds cap {cap}")
+    if p.size ** n > DEFAULT_BLOCK_CAP:
+        raise CapExceeded(f"{p.size}^{n} block alphabet exceeds cap "
+                          f"{DEFAULT_BLOCK_CAP}")
     out = p.probs
     for _ in range(n - 1):
         out = np.kron(out, p.probs)
     return Pmf(out)
 
 
-def all_blocks(m: int, n: int, cap: int = DEFAULT_BLOCK_CAP) -> np.ndarray:
+def all_blocks(m: int, n: int) -> np.ndarray:
     """All length-n blocks over {0..m-1}, one per row; row k is the block
     whose base-m digits, first symbol most significant, spell k."""
-    if m ** n > cap:
-        raise CapExceeded(f"{m}^{n} block alphabet exceeds cap {cap}")
+    if m ** n > DEFAULT_BLOCK_CAP:
+        raise CapExceeded(f"{m}^{n} block alphabet exceeds cap "
+                          f"{DEFAULT_BLOCK_CAP}")
     grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)

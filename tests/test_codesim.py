@@ -5,7 +5,6 @@ the correction stage, and the soft-covering trend."""
 import json
 import math
 import tracemalloc
-from functools import partial
 from pathlib import Path
 from unittest.mock import patch
 
@@ -363,8 +362,8 @@ def _demo_config(**changes) -> SimConfig:
 def _fallback_config() -> SimConfig:
     """A Monte-Carlo run on channels with zero entries, where most
     source blocks have zero likelihood under every codeword of their
-    column and the encoder falls back to an equal-weight draw (296 of
-    the 300 trials; its pinned report has the other 4 with -inf scores
+    column and the encoder falls back to an equal-weight draw (288 of
+    the 300 trials; its pinned report has the other 12 with -inf scores
     among finite ones)."""
     triple = MarkovTriple(
         Pmf(np.array([0.3, 0.3, 0.4])),
@@ -414,6 +413,55 @@ def test_exact_trials_follow_the_exact_laws(n):
                          (post, rep.mean_distortion)):
         error = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 4.0 * error
+
+
+def _triangle_ok(corrected, distortion, move, exponent):
+    return corrected ** exponent <= (distortion ** exponent
+                                     + move ** exponent + 1e-9)
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+@pytest.mark.parametrize("power", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_trial_records_follow_the_per_trial_formulas(mode, power):
+    """Each record's distortions, correction move and triangle check are
+    the per-trial scalar formulas on its source, output and relabelled
+    blocks, with the check's exponent 1/q at q = max(1, p). The cost is
+    no metric (0 -> 2 costs 1, 0 -> 1 -> 2 costs 0.02), so the check
+    fails on some trials, and at p = 0.5 an exponent of 1/p would flip
+    some of them."""
+    gen = np.random.default_rng(7)
+    triple = MarkovTriple(Pmf(np.array([0.3, 0.3, 0.4])),
+                          Channel(gen.dirichlet(np.ones(3), 3)),
+                          Channel(gen.dirichlet(np.ones(3), 3)))
+    rho = np.array([[0.0, 0.01, 1.0], [0.01, 0.0, 0.01], [1.0, 0.01, 0.0]])
+    cfg = SimConfig(triple=triple, rho=DistortionMatrix(rho), n=3, r=0.5,
+                    rc=0.3, trials=300, seed=2, mode=mode,
+                    metric_power=power)
+    blocks = []
+    records = codesim._trial_records
+
+    def spy(cfg, xs, ks, js, fbs, ys, final):
+        blocks.append((xs, ys, final))
+        return records(cfg, xs, ks, js, fbs, ys, final)
+
+    with patch.object(codesim, "_trial_records", spy):
+        rep = run_simulation(cfg)
+    assert rep.mode == mode
+    [(xs, ys, final)] = blocks
+    q = max(1.0, power)
+    flips = 0
+    for rec, x, y, f in zip(rep.trials, xs, ys, final, strict=True):
+        assert rec.distortion == sum(rho[x, y].tolist()) / cfg.n
+        assert rec.correction_move == sum(rho[y, f].tolist()) / cfg.n
+        assert rec.corrected_distortion == sum(rho[x, f].tolist()) / cfg.n
+        assert rec.triangle_ok is _triangle_ok(
+            rec.corrected_distortion, rec.distortion, rec.correction_move,
+            1.0 / q)
+        flips += rec.triangle_ok is not _triangle_ok(
+            rec.corrected_distortion, rec.distortion, rec.correction_move,
+            1.0 / power)
+    assert not all(rec.triangle_ok for rec in rep.trials)
+    assert (flips > 0) == (power < 1.0)
 
 
 @pytest.mark.parametrize("name, make_config", [
@@ -516,8 +564,7 @@ def test_wide_index_alphabet(nu, nx, ny, n, r, rc, dtype):
                     mode="monte-carlo")
     rep = run_simulation(cfg)
     assert (rep.num_j, rep.num_k) == book.shape[:2]
-    with patch.object(codesim, "_trial_loop", partial(
-            _per_trial_loop, encode=_reference_encode)):
+    with patch.object(codesim, "_trial_loop", _per_trial_loop):
         assert run_simulation(cfg).to_dict() == rep.to_dict()
 
 
@@ -550,21 +597,27 @@ def test_scores_match_per_codeword_loop(nu, nx, num_j, n, trials,
                 assert abs(got[b, j] - want) <= 1e-12 * abs(want)
 
 
-def _reference_encode(codebook, x_given_u, x_block, k, rng):
+def _reference_encode(codebook, x_given_u, x_block, k, u):
     """The likelihood encoder by its plain formula: the log table built
-    from the rows on every call, a 2-D fancy index and rng.choice, with
-    equal weights when every likelihood is zero."""
+    from the rows on every call, a 2-D fancy index, and the normalized
+    CDF inverted at the uniform u with searchsorted(side="right"), as
+    rng.choice inverts it; equal weights when every likelihood is
+    zero."""
     num_j = codebook.shape[0]
     probs = x_given_u.rows[codebook[:, k, :], x_block[None, :]]
     with np.errstate(divide="ignore"):
         scores = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)),
                           -np.inf).sum(axis=1)
     top = scores.max()
-    if not np.isfinite(top):
-        return int(rng.choice(num_j, p=np.full(num_j, 1.0 / num_j))), True
-    w = np.exp(scores - top)
-    w /= w.sum()
-    return int(rng.choice(num_j, p=w)), False
+    fell_back = not np.isfinite(top)
+    if fell_back:
+        w = np.full(num_j, 1.0 / num_j)
+    else:
+        w = np.exp(scores - top)
+        w /= w.sum()
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right")), fell_back
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -582,23 +635,28 @@ def test_likelihood_encode_matches_reference(nu, nx, num_j, num_k, n, seed):
         fast = np.random.default_rng(state)
         slow = np.random.default_rng(state)
         assert likelihood_encode(book, chan, block, k, fast) == \
-            _reference_encode(book, chan, block, k, slow)
+            _reference_encode(book, chan, block, k, slow.random())
         assert fast.random() == slow.random()
 
 
-def _per_trial_loop(cfg, codebook, num_j, num_k, encode=likelihood_encode):
-    """The Monte-Carlo trial loop one trial at a time: a per-trial
-    encode (likelihood_encode by default) and a decoder that draws its
-    own uniforms, in the order source block, k, j, output block."""
+def _per_trial_loop(cfg, codebook, num_j, num_k):
+    """The trial loop one trial at a time by the plain formulas, from the
+    four arrays of the trial stream: source uniforms, k, encoder
+    uniforms and decoder uniforms."""
     rng = codesim._stream(cfg.seed, codesim._STREAM_TRIALS)
+    x_u = rng.random((cfg.trials, cfg.n))
+    ks = rng.integers(num_k, size=cfg.trials)
+    enc_u = rng.random(cfg.trials)
+    dec_u = rng.random((cfg.trials, cfg.n))
     cdf = _cdf(cfg.triple.induced_x().probs)
     rows = []
-    for _ in range(cfg.trials):
-        x = cdf.searchsorted(rng.random(cfg.n), side="right")
-        k = int(rng.integers(num_k))
-        j, fell_back = encode(codebook, cfg.triple.x_given_u, x, k, rng)
+    for t in range(cfg.trials):
+        x = cdf.searchsorted(x_u[t], side="right")
+        k = int(ks[t])
+        j, fell_back = _reference_encode(codebook, cfg.triple.x_given_u, x,
+                                         k, enc_u[t])
         cdfs = cfg.triple.y_given_u.row_cdfs[codebook[j, k]]
-        y = np.minimum((rng.random((cfg.n, 1)) > cdfs).sum(axis=1),
+        y = np.minimum((dec_u[t][:, None] > cdfs).sum(axis=1),
                        cdfs.shape[1] - 1)
         rows.append((x, k, j, fell_back, y))
     xs, ks, js, fbs, ys = map(np.array, zip(*rows))
