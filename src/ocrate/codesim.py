@@ -21,7 +21,11 @@ Two modes:
   n <= 6). Output-law total variation, the idealized
   mixture law, and all mean distortions are computed exactly. The
   correction relabels each trial's output block through the exact
-  plan's row of its block index.
+  plan's row of its block index. When the letter cost is a metric, so
+  is the block cost (the mean letter cost), and the plan keeps
+  min(p, q) of the output law p and the iid law q in place and
+  transports only the surplus onto the deficit; otherwise it solves
+  the full block problem.
 * monte-carlo: beyond the caps. Per-trial sampling only; the output
   total variation is the biased plug-in estimate from the empirical
   block histogram and is flagged as such, and the correction stage
@@ -66,7 +70,7 @@ from .info import (
     total_variation,
 )
 from .region import MarkovTriple
-from .transport import TransportProblem, solve_ot
+from .transport import COST_SLACK, Coupling, TransportProblem, solve_ot
 
 CODEBOOK_CAP = 2 ** 24
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
@@ -432,6 +436,44 @@ def _block_cost(rho: np.ndarray, left: np.ndarray,
     return out / n
 
 
+def _is_metric(costs: np.ndarray) -> bool:
+    """Whether a square cost matrix is a metric within COST_SLACK: zero
+    diagonal, symmetric, and c[i, k] <= c[i, j] + c[j, k] for every
+    middle letter j (one |Y| x |Y| comparison per j)."""
+    return bool(np.all(np.abs(np.diag(costs)) <= COST_SLACK)
+                and np.all(np.abs(costs - costs.T) <= COST_SLACK)
+                and all(np.all(costs <= costs[:, j, None] + costs[j]
+                               + COST_SLACK)
+                        for j in range(costs.shape[0])))
+
+
+def _surplus_plan(p: np.ndarray, q: np.ndarray, costs: np.ndarray,
+                  metric: bool) -> Coupling:
+    """Minimum-cost coupling of the laws p and q.
+
+    For a metric cost some optimal plan keeps min(p, q) in place and
+    moves only the surplus (p - q)+ onto the deficit (q - p)+
+    (Kantorovich-Rubinstein duality), so only that smaller problem goes
+    to solve_ot. Each side is divided by its own sum as a share of its
+    law's mass, sum(p - keep) / sum(p), never by 1 - sum(min(p, q)): on
+    near-equal laws that difference loses its digits to cancellation
+    and the normalized surplus no longer sums to 1. The plan is scaled
+    back by the surplus share and the kept diagonal added. With metric
+    False nothing is kept, both shares are exactly 1, and the same
+    lines give the full solve_ot plan of (p, q) bit for bit. With
+    p == q nothing moves and the plan is the diagonal."""
+    keep = np.minimum(p, q) if metric else np.zeros_like(p)
+    moved, short = p - keep, q - keep
+    share = moved.sum() / p.sum()
+    short_share = short.sum() / q.sum()
+    table = np.diag(keep)
+    if share > 0.0 and short_share > 0.0:
+        plan = solve_ot(TransportProblem(Pmf(moved / share),
+                                         Pmf(short / short_share), costs))
+        table += share * plan.table
+    return Coupling(table, float((table * costs).sum()))
+
+
 def _choose_mode(cfg: SimConfig, num_j: int, num_k: int) -> str:
     nx = cfg.triple.x_given_u.output_size
     ny = cfg.triple.y_given_u.output_size
@@ -491,7 +533,10 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
         dec *= b[codebook[:, :, i], :][:, :, yb[:, i]]
 
     rho_xy = _block_cost(cfg.rho.costs, xb, yb)
-    joint = np.einsum("x,xjk,jky->xy", mu_n, enc, dec) / num_k
+    # a two-operand einsum runs numpy's own loops: a BLAS product would
+    # make the joint's last bits follow the BLAS thread count
+    enc *= mu_n[:, None, None]
+    joint = np.einsum("xjk,jky->xy", enc, dec) / num_k
     out_law = joint.sum(axis=0)
     gamma_out = dec.mean(axis=(0, 1))
     tv_soft = total_variation(gamma_out, psi_n)
@@ -513,7 +558,8 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     slack = None
     if cfg.correction:
         rho_yy = _block_cost(cfg.rho.costs, yb, yb)
-        plan = solve_ot(TransportProblem(Pmf(out_law), Pmf(psi_n), rho_yy))
+        plan = _surplus_plan(out_law, psi_n, rho_yy,
+                             _is_metric(cfg.rho.costs))
         ot_cost = plan.cost
         cond = plan.conditional_rows()
         joint_post = joint @ cond

@@ -13,8 +13,7 @@ HiGHS is called through scipy's own binding (`scipy.optimize._highspy`)
 with the options `linprog(method="highs-ds")` would set, presolve off,
 and the result is checked the way `linprog` checks it. `linprog` itself
 is not used: its input handling and result packing cost more than the
-solve on small problems and about half as much again on the 256 x 256
-block problems of the exact simulator.
+solve on small problems.
 """
 
 from __future__ import annotations

@@ -2,23 +2,29 @@
 
 Everything here avoids the library's solver paths on purpose: transport
 plans come from enumerating basic solutions of the transportation
-polytope, constrained-information values come from a derivative-free
-nested grid, and lower bounds on them from weak Lagrangian duality.
+polytope or from scipy's public interior-point LP,
+constrained-information values come from a derivative-free nested grid,
+and lower bounds on them from weak Lagrangian duality.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 
 def ot_vertex_enumeration(mu: np.ndarray, psi: np.ndarray,
-                          costs: np.ndarray) -> float:
+                          costs: np.ndarray, slack: float = 1e-10) -> float:
     """Minimum transport cost via exhaustive basis enumeration.
 
     A vertex of the transportation polytope is supported on at most
     m + n - 1 cells; every such support whose equality system is
-    nonsingular yields one candidate basic solution.
+    nonsingular yields one candidate basic solution. Entries down to
+    -slack count as zero, so on laws that differ by less than about
+    slack the value can fall below the true minimum; pass a smaller
+    slack there.
     """
     m, n = costs.shape
     cells = [(i, j) for i in range(m) for j in range(n)]
@@ -40,7 +46,7 @@ def ot_vertex_enumeration(mu: np.ndarray, psi: np.ndarray,
         if abs(np.linalg.det(sub)) < 1e-12:
             continue
         sol = np.linalg.solve(sub, rhs)
-        if np.min(sol) < -1e-10:
+        if np.min(sol) < -slack:
             continue
         table = np.zeros((m, n))
         for k, idx in enumerate(basis):
@@ -49,6 +55,21 @@ def ot_vertex_enumeration(mu: np.ndarray, psi: np.ndarray,
             continue
         best = min(best, float(np.sum(table * costs)))
     return best
+
+
+def ot_interior_point(mu: np.ndarray, psi: np.ndarray,
+                      costs: np.ndarray) -> float:
+    """Minimum transport cost from scipy's public linprog with the HiGHS
+    interior-point method, on a sparse equality matrix holding every
+    row and column sum (one of them redundant)."""
+    m, n = costs.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(m), np.ones((1, n))),
+                          sparse.kron(np.ones((1, m)), sparse.eye(n))])
+    res = linprog(costs.ravel(), A_eq=a_eq.tocsr(),
+                  b_eq=np.concatenate([mu, psi]), method="highs-ipm")
+    if res.status != 0:
+        raise RuntimeError(res.message)
+    return float(res.fun)
 
 
 def grid_mmi_3x3(mu, psi, rho, d, seed_points=(),

@@ -350,17 +350,27 @@ def test_simulate_writes_report_and_trials(sim_config):
         trials_path.read_text()
 
 
-@pytest.mark.parametrize("x_given_u", [BSC25_ROWS, [[1.0, 0.0], [0.2, 0.8]]])
-def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, x_given_u):
+_MC_THREADS = {"weights": [0.6, 0.4], "y_given_u": BSC25_ROWS,
+               "rho": HAMMING_ROWS, "n": 32, "r": 0.35, "rc": 0.1,
+               "trials": 200, "seed": 3, "mode": "monte-carlo"}
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(dict(_MC_THREADS, x_given_u=BSC25_ROWS), id="x_given_u0"),
+    pytest.param(dict(_MC_THREADS, x_given_u=[[1.0, 0.0], [0.2, 0.8]]),
+                 id="x_given_u1"),
+    pytest.param(dict(json.loads((DEMO_CONFIGS / "simulate.json").read_text()),
+                      n=8, seed=1), id="exact_n8"),
+])
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, payload):
     """The Monte-Carlo scores are BLAS products over batches of trials
-    that share k, on an X-channel with full support and on one with a
-    zero entry (the second product, which marks zero likelihoods, runs
-    only there); both are large enough for OpenBLAS to split them over
-    two threads, and the written artifacts must not change."""
-    cfg = write_config(tmp_path, {
-        "weights": [0.6, 0.4], "x_given_u": x_given_u,
-        "y_given_u": BSC25_ROWS, "rho": HAMMING_ROWS, "n": 32, "r": 0.35,
-        "rc": 0.1, "trials": 200, "seed": 3, "mode": "monte-carlo"})
+    that share k, on an X-channel with full support (x_given_u0) and on
+    one with a zero entry (x_given_u1; the second product, which marks
+    zero likelihoods, runs only there); both are large enough for
+    OpenBLAS to split them over two threads. At n = 8 the exact joint
+    and the correction's products over 256 output blocks are too. The
+    written artifacts must not change."""
+    cfg = write_config(tmp_path, payload)
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
@@ -370,7 +380,7 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, x_given_u):
         assert proc.returncode == 0, proc.stderr
         written.append((out.read_text(),
                         (tmp_path / f"threads{threads}.trials.csv").read_text()))
-    assert json.loads(written[0][0])["mode"] == "monte-carlo"
+    assert json.loads(written[0][0])["mode"] == payload["mode"]
     assert written[0] == written[1]
 
 

@@ -28,7 +28,9 @@ from ocrate import (
 )
 from ocrate import codesim
 from ocrate.codesim import _cdf, _choose_mode, _letters
-from oracles import mixture_law_by_loop
+from ocrate.transport import TransportProblem, solve_ot
+from oracles import (mixture_law_by_loop, ot_interior_point,
+                     ot_vertex_enumeration)
 
 PINNED = Path(__file__).parent / "pinned"
 DEMO_CONFIG = Path(__file__).parents[1] / "demos" / "configs" / "simulate.json"
@@ -329,14 +331,109 @@ def test_exact_run_invariants():
 
 
 def test_exact_block_correction_at_n8():
-    # HiGHS misses the 256-block marginals by more than 1e-9 here; the
-    # transport layer must snap the plan onto them instead of failing
+    # HiGHS missed the marginals of this run's full 256-block problem by
+    # more than 1e-9, and the transport layer must snap a plan onto them
+    # instead of failing; the 120 x 136 surplus problem solved now meets
+    # them to 1e-16
     cfg = SimConfig(triple=_quarter_triple(), rho=HAMMING2, n=8, r=0.6,
                     rc=0.6, trials=4, seed=1, mode="exact")
     rep = run_simulation(cfg)
     assert rep.mode == "exact"
     assert rep.tv_output_vs_iid <= 1e-9
     assert all(rec.triangle_ok for rec in rep.trials)
+
+
+def test_n8_block_cost_is_the_transport_minimum():
+    """The n = 8 demo's block correction (the pinned
+    simulate_demo_n8_seed1 run) costs what an interior-point solve of
+    the whole 256 x 256 problem costs. Eleven of its output blocks have
+    mass below 1e-7, and the full simplex plan of solve_ot sat 1.45e-8
+    above this minimum."""
+    seen = []
+    plan = codesim._surplus_plan
+
+    def spy(p, q, costs, metric):
+        seen.append((p, q, costs, metric))
+        return plan(p, q, costs, metric)
+
+    with patch.object(codesim, "_surplus_plan", spy):
+        rep = run_simulation(_demo_config(n=8, seed=1, trials=4))
+    [(p, q, costs, metric)] = seen
+    assert metric and costs.shape == (256, 256)
+    assert (p < 1e-7).sum() == 11
+    assert abs(rep.ot_block_cost - ot_interior_point(p, q, costs)) <= 1e-12
+
+
+def _letter_costs(family: str, size: int,
+                  gen: np.random.Generator) -> np.ndarray:
+    i = np.arange(size, dtype=float)
+    if family == "hamming":
+        return 1.0 - np.eye(size)
+    if family == "absolute":
+        return np.abs(i[:, None] - i)
+    if family == "points":
+        pts = gen.normal(size=(size, 2))
+        return np.sqrt(((pts[:, None] - pts) ** 2).sum(axis=2))
+    if family == "squared":
+        return (i[:, None] - i) ** 2
+    return gen.uniform(0.0, 1.0, (size, size))      # "uniform"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["hamming", "absolute", "points", "squared",
+                        "uniform"]),
+       st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2),
+                        (2, 4), (4, 2), (2, 5), (3, 3), (2, 6), (4, 3)]),
+       st.sampled_from([0.0, 1e-9, 0.05, 1.0]), st.integers(0, 2 ** 32 - 1))
+@example("hamming", (2, 6), 1e-9, 3).via(
+    "near-equal laws: 1 - sum(min(p, q)) loses its digits")
+@example("hamming", (2, 2), 0.0, 0).via("p == q: nothing moves")
+@example("squared", (3, 1), 0.0, 0).via("p == q, cost no metric")
+def test_surplus_plan_is_a_minimum_cost_coupling(family, shape, closeness,
+                                                 seed):
+    """The exact correction's block plan, on the mean per-letter cost of
+    |Y|^n <= 64 blocks between a law p and q = (1 - t) p + t r: it
+    meets both marginals, costs the vertex-enumeration minimum on at
+    most 4 blocks a side and never more than the full solve_ot plan.
+    For a metric letter cost it keeps min(p, q) in place, and it is the
+    diagonal at cost 0 when p == q; for any other cost it is the full
+    solve_ot plan bit for bit. The laws are Dirichlet(1) draws: on laws
+    with symbols lighter than the HiGHS tolerance solve_ot's own plans
+    can sit above the minimum, which this test leaves out."""
+    size, n = shape
+    gen = np.random.default_rng(seed)
+    rho = _letter_costs(family, size, gen)
+    metric = codesim._is_metric(rho)
+    # (i - j)^2 on two letters is |i - j|
+    assert metric == (family in ("hamming", "absolute", "points")
+                      or family == "squared" and size == 2)
+    blocks = codesim.all_blocks(size, n)
+    costs = codesim._block_cost(rho, blocks, blocks)
+    p = gen.dirichlet(np.ones(len(blocks)))
+    r = gen.dirichlet(np.ones(len(blocks)))
+    q = (1.0 - closeness) * p + closeness * r
+    got = codesim._surplus_plan(p, q, costs, metric)
+    full = solve_ot(TransportProblem(Pmf(p), Pmf(q), costs))
+    np.testing.assert_allclose(got.table.sum(axis=1), p, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.table.sum(axis=0), q, rtol=0, atol=1e-12)
+    assert got.cost == float((got.table * costs).sum())
+    assert got.cost <= full.cost + 1e-12
+    if len(blocks) <= 4:
+        # the laws can differ by less than the default slack. Without a
+        # metric the plan is solve_ot's, and where the laws differ by
+        # less than the HiGHS tolerance (1e-7) that plan can sit about
+        # 1e-9 above the minimum: HiGHS sees p == q, and repairing the
+        # marginals spreads the difference over non-optimal cells
+        want = ot_vertex_enumeration(p, q, costs, slack=1e-15)
+        near = not metric and closeness == 1e-9
+        assert abs(got.cost - want) <= (1e-8 if near else 1e-12)
+    if not metric:
+        assert got.table.tobytes() == full.table.tobytes()
+    elif closeness == 0.0:
+        assert got.cost == 0.0
+        np.testing.assert_array_equal(got.table, np.diag(p))
+    else:
+        assert np.all(np.diag(got.table) >= np.minimum(p, q))
 
 
 def test_exact_run_determinism():
