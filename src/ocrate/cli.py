@@ -10,7 +10,6 @@ success, 1 validation, 2 infeasible domain, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codesim import SimConfig, TrialRecord, run_simulation, soft_covering_exact
+from .codesim import TRIAL_COLUMNS, SimConfig, run_simulation, soft_covering_exact
 from .info import CapExceeded, Channel, DistortionMatrix, DomainError, Pmf, binary_entropy
 from .region import (
     I0_RESTARTS_CAP,
@@ -310,9 +309,6 @@ def _cmd_empirical(args) -> int:
 # simulator commands
 
 
-_TRIAL_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
-
-
 def _cmd_simulate(args) -> int:
     if args.out is None:
         raise ValueError("simulate writes two files and needs --out")
@@ -345,8 +341,7 @@ def _cmd_simulate(args) -> int:
     )
     report = run_simulation(sim)
     _emit(_json_text(report.to_dict()), args.out)
-    rows = [[getattr(t, c) for c in _TRIAL_COLUMNS] for t in report.trials]
-    _emit(_csv_text(",".join(_TRIAL_COLUMNS), rows),
+    _emit(_csv_text(",".join(TRIAL_COLUMNS), report.trial_rows()),
           str(Path(args.out).with_suffix(".trials.csv")))
     return EXIT_OK
 

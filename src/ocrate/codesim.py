@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -161,25 +162,18 @@ class SimConfig:
             raise ValueError("the correction stage needs a square distortion")
 
 
-@dataclass
-class TrialRecord:
-    trial: int
-    k: int
-    j: int
-    encoder_fallback: bool
-    distortion: float
-    correction_move: float | None = None
-    corrected_distortion: float | None = None
-    triangle_ok: bool | None = None
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
+TRIAL_COLUMNS = ("trial", "k", "j", "encoder_fallback", "distortion",
+                 "correction_move", "corrected_distortion", "triangle_ok")
 
 
 @dataclass
 class SimReport:
     """Outcome of one run; exact-law fields are None in monte-carlo
-    mode, and tv_output_is_plugin flags the biased estimate."""
+    mode, and tv_output_is_plugin flags the biased estimate.
+
+    trials holds one array per trial column, indexed by trial: k, j,
+    encoder_fallback and distortion, and correction_move,
+    corrected_distortion and triangle_ok only when the correction ran."""
 
     mode: str
     n: int
@@ -198,11 +192,21 @@ class SimReport:
     ot_block_cost: float | None = None
     distortion_bound: float | None = None
     distortion_slack: float | None = None
-    trials: list[TrialRecord] = field(default_factory=list)
+    trials: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def trial_rows(self) -> zip:
+        """One tuple of Python scalars per trial in the order of
+        TRIAL_COLUMNS: the trial index, then each column, None where a
+        correction column is absent."""
+        size = self.trials["k"].size
+        cells = (self.trials[name].tolist() if name in self.trials
+                 else repeat(None, size) for name in TRIAL_COLUMNS[1:])
+        return zip(range(size), *cells)
 
     def to_dict(self) -> dict:
         out = dict(vars(self))
-        out["trials"] = [t.to_dict() for t in self.trials]
+        out["trials"] = [dict(zip(TRIAL_COLUMNS, row))
+                         for row in self.trial_rows()]
         return out
 
 
@@ -576,7 +580,7 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     else:
         mean_d = pre_d
         tv_final = tv_pre
-    records, trial_mean = _trial_records(cfg, xs, ks, js, fbs, ys, final)
+    columns, trial_mean = _trial_columns(cfg, xs, ks, js, fbs, ys, final)
 
     return SimReport(
         mode="exact", n=n, num_j=num_j, num_k=num_k,
@@ -593,7 +597,7 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
         ot_block_cost=ot_cost,
         distortion_bound=bound,
         distortion_slack=slack,
-        trials=records,
+        trials=columns,
     )
 
 
@@ -631,29 +635,28 @@ def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     return xs, ks, js, fbs, ys
 
 
-def _trial_records(cfg: SimConfig, xs: np.ndarray, ks: np.ndarray,
+def _trial_columns(cfg: SimConfig, xs: np.ndarray, ks: np.ndarray,
                    js: np.ndarray, fbs: np.ndarray, ys: np.ndarray,
                    final: np.ndarray | None
-                   ) -> tuple[list[TrialRecord], float]:
-    """The records of the trials that _trial_loop drew and their mean
-    distortion, after the correction when it is on; final holds the
-    relabelled blocks and is read only then. With the correction each
-    record checks the per-block triangle inequality
+                   ) -> tuple[dict[str, np.ndarray], float]:
+    """The SimReport.trials columns of the trials that _trial_loop drew
+    and their mean distortion, after the correction when it is on;
+    final holds the relabelled blocks and is read only then. With the
+    correction triangle_ok checks the per-block triangle inequality
     corrected^(1/q) <= distortion^(1/q) + move^(1/q) at
     q = max(1, metric_power)."""
     rho = cfg.rho.costs
     d_pre = rho[xs, ys].mean(axis=1)
-    columns = [range(cfg.trials), ks.tolist(), js.tolist(), fbs.tolist(),
-               d_pre.tolist()]
+    columns = {"k": ks, "j": js, "encoder_fallback": fbs, "distortion": d_pre}
     if cfg.correction:
         q = max(1.0, cfg.metric_power)
         moves = rho[ys, final].mean(axis=1)
         d_post = rho[xs, final].mean(axis=1)
         ok = d_post ** (1.0 / q) <= (d_pre ** (1.0 / q) + moves ** (1.0 / q)
                                      + 1e-9)
-        columns += [moves.tolist(), d_post.tolist(), ok.tolist()]
-    records = [TrialRecord(*row) for row in zip(*columns)]
-    return records, float((d_post if cfg.correction else d_pre).mean())
+        columns.update(correction_move=moves, corrected_distortion=d_post,
+                       triangle_ok=ok)
+    return columns, float(columns.get("corrected_distortion", d_pre).mean())
 
 
 def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
@@ -672,7 +675,7 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
                         ).conditional_rows()
         u = _stream(cfg.seed, _STREAM_CORRECTION).random(ys.shape)
         final = _sample_rows(cond.cumsum(axis=1), ys, u)
-    records, mean_d = _trial_records(cfg, xs, ks, js, fbs, ys, final)
+    columns, mean_d = _trial_columns(cfg, xs, ks, js, fbs, ys, final)
 
     # biased plug-in total variation against the iid block law
     blocks, counts = np.unique(final, axis=0, return_counts=True)
@@ -688,5 +691,5 @@ def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
         tv_output_is_plugin=True,
         encoder_fallbacks=int(fbs.sum()),
         trial_mean_distortion=mean_d,
-        trials=records,
+        trials=columns,
     )

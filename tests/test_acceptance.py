@@ -226,11 +226,11 @@ def test_acceptance_7_end_to_end_exact_run():
         elapsed < 120.0,
         rep.tv_output_vs_iid <= 1e-12,
         rep.mean_distortion <= budget + 1e-12,
-        all(rec.triangle_ok for rec in rep.trials),
+        rep.trials["triangle_ok"].all(),
     ]
     _report(7, all(checks),
             f"tv={rep.tv_output_vs_iid:.1e}, mean={rep.mean_distortion:.4f} "
-            f"<= {budget:.4f}, {len(rep.trials)} trials in {elapsed:.1f}s")
+            f"<= {budget:.4f}, {rep.trials['k'].size} trials in {elapsed:.1f}s")
 
 
 def test_acceptance_8_variation_regions():

@@ -313,6 +313,16 @@ def test_softcover_demo_bytes_are_pinned(seed):
     pinned = PINNED / f"softcover_demo_seed{seed}.csv"
     assert proc.stdout.encode() == pinned.read_bytes()
 
+
+def test_simulate_demo_trials_csv_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    proc = run_cli("simulate", "--config", str(DEMO_CONFIGS / "simulate.json"),
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    pinned = PINNED / "simulate_demo_cli.trials.csv"
+    assert out.with_suffix(".trials.csv").read_bytes() == pinned.read_bytes()
+
+
 @pytest.fixture
 def sim_config(tmp_path):
     payload = {"weights": [0.5, 0.5], "x_given_u": BSC25_ROWS,

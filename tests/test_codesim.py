@@ -319,10 +319,9 @@ def test_exact_run_invariants():
         assert abs(rep.distortion_bound - want) <= 1e-12
         assert abs(rep.distortion_slack
                    - (rep.distortion_bound - 0.25)) <= 1e-12
-        assert len(rep.trials) == 3
-        assert all(rec.triangle_ok for rec in rep.trials)
-        assert rep.encoder_fallbacks == sum(
-            rec.encoder_fallback for rec in rep.trials)
+        assert rep.trials["k"].size == 3
+        assert rep.trials["triangle_ok"].all()
+        assert rep.encoder_fallbacks == rep.trials["encoder_fallback"].sum()
         pre_tvs.append(rep.tv_pre_correction)
         soft_tvs.append(rep.tv_softcover)
     assert pre_tvs[0] > pre_tvs[1] > pre_tvs[2]
@@ -340,7 +339,7 @@ def test_exact_block_correction_at_n8():
     rep = run_simulation(cfg)
     assert rep.mode == "exact"
     assert rep.tv_output_vs_iid <= 1e-9
-    assert all(rec.triangle_ok for rec in rep.trials)
+    assert rep.trials["triangle_ok"].all()
 
 
 def test_n8_block_cost_is_the_transport_minimum():
@@ -419,12 +418,12 @@ def test_surplus_plan_is_a_minimum_cost_coupling(family, shape, closeness,
     assert got.cost == float((got.table * costs).sum())
     assert got.cost <= full.cost + 1e-12
     if len(blocks) <= 4:
-        # the laws can differ by less than the default slack. Without a
-        # metric the plan is solve_ot's, and where the laws differ by
-        # less than the HiGHS tolerance (1e-7) that plan can sit about
-        # 1e-9 above the minimum: HiGHS sees p == q, and repairing the
-        # marginals spreads the difference over non-optimal cells
-        want = ot_vertex_enumeration(p, q, costs, slack=1e-15)
+        # without a metric the plan is solve_ot's, and where the laws
+        # differ by less than the HiGHS tolerance (1e-7) that plan can
+        # sit about 1e-9 above the minimum: HiGHS sees p == q, and
+        # repairing the marginals spreads the difference over
+        # non-optimal cells
+        want = ot_vertex_enumeration(p, q, costs)
         near = not metric and closeness == 1e-9
         assert abs(got.cost - want) <= (1e-8 if near else 1e-12)
     if not metric:
@@ -488,6 +487,7 @@ def _assert_pinned(report: dict, name: str, blas_keys: tuple[str, ...]):
 @pytest.mark.parametrize("name, changes", [
     ("simulate_demo_config", {}),
     ("simulate_demo_n8_seed1", {"n": 8, "seed": 1, "trials": 4}),
+    ("simulate_demo_uncorrected", {"correction": False}),
 ])
 def test_exact_report_bytes_are_pinned(name, changes):
     # mean_distortion and tv_output_vs_iid pass through joint @ cond and
@@ -503,13 +503,32 @@ def test_exact_trials_follow_the_exact_laws(n):
     lies within 4 standard errors of the exact means."""
     rep = run_simulation(_demo_config(n=n, trials=20000))
     assert rep.mode == "exact"
-    pre = np.array([rec.distortion for rec in rep.trials])
-    post = np.array([rec.corrected_distortion for rec in rep.trials])
+    pre = rep.trials["distortion"]
+    post = rep.trials["corrected_distortion"]
     assert rep.trial_mean_distortion == post.mean()
     for draws, exact in ((pre, rep.pre_correction_distortion),
                          (post, rep.mean_distortion)):
         error = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 4.0 * error
+
+
+def test_report_holds_trials_as_columns():
+    """At n = 1, 10^5 exact trials with the correction, the report holds
+    at most 64 bytes a trial and the run peaks at most 160 bytes a
+    trial, so the 2^24 one-letter trials that TRIAL_CAP admits stay
+    within about 1 GiB of report."""
+    trials = 10 ** 5
+    cfg = _demo_config(n=1, trials=trials)
+    tracemalloc.start()
+    try:
+        rep = run_simulation(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.mode == "exact"
+    assert held <= 64 * trials
+    assert peak <= 160 * trials
+    assert rep.trials["triangle_ok"].size == trials
 
 
 def _triangle_ok(corrected, distortion, move, exponent):
@@ -520,7 +539,7 @@ def _triangle_ok(corrected, distortion, move, exponent):
 @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
 @pytest.mark.parametrize("power", [0.5, 1.0, 1.5, 2.0, 3.0])
 def test_trial_records_follow_the_per_trial_formulas(mode, power):
-    """Each record's distortions, correction move and triangle check are
+    """Each trial's distortions, correction move and triangle check are
     the per-trial scalar formulas on its source, output and relabelled
     blocks, with the check's exponent 1/q at q = max(1, p). The cost is
     no metric (0 -> 2 costs 1, 0 -> 1 -> 2 costs 0.02), so the check
@@ -535,29 +554,29 @@ def test_trial_records_follow_the_per_trial_formulas(mode, power):
                     rc=0.3, trials=300, seed=2, mode=mode,
                     metric_power=power)
     blocks = []
-    records = codesim._trial_records
+    columns = codesim._trial_columns
 
     def spy(cfg, xs, ks, js, fbs, ys, final):
         blocks.append((xs, ys, final))
-        return records(cfg, xs, ks, js, fbs, ys, final)
+        return columns(cfg, xs, ks, js, fbs, ys, final)
 
-    with patch.object(codesim, "_trial_records", spy):
+    with patch.object(codesim, "_trial_columns", spy):
         rep = run_simulation(cfg)
     assert rep.mode == mode
     [(xs, ys, final)] = blocks
     q = max(1.0, power)
     flips = 0
-    for rec, x, y, f in zip(rep.trials, xs, ys, final, strict=True):
-        assert rec.distortion == sum(rho[x, y].tolist()) / cfg.n
-        assert rec.correction_move == sum(rho[y, f].tolist()) / cfg.n
-        assert rec.corrected_distortion == sum(rho[x, f].tolist()) / cfg.n
-        assert rec.triangle_ok is _triangle_ok(
-            rec.corrected_distortion, rec.distortion, rec.correction_move,
-            1.0 / q)
-        flips += rec.triangle_ok is not _triangle_ok(
-            rec.corrected_distortion, rec.distortion, rec.correction_move,
-            1.0 / power)
-    assert not all(rec.triangle_ok for rec in rep.trials)
+    trials = [rep.trials[name].tolist() for name in (
+        "distortion", "correction_move", "corrected_distortion",
+        "triangle_ok")]
+    for d, move, post, ok, x, y, f in zip(*trials, xs, ys, final,
+                                          strict=True):
+        assert d == sum(rho[x, y].tolist()) / cfg.n
+        assert move == sum(rho[y, f].tolist()) / cfg.n
+        assert post == sum(rho[x, f].tolist()) / cfg.n
+        assert ok is _triangle_ok(post, d, move, 1.0 / q)
+        flips += ok is not _triangle_ok(post, d, move, 1.0 / power)
+    assert not rep.trials["triangle_ok"].all()
     assert (flips > 0) == (power < 1.0)
 
 
@@ -581,7 +600,7 @@ def test_exact_mode_at_the_plan_cap():
     rep = run_simulation(cfg)
     assert rep.mode == "exact"
     assert rep.tv_output_vs_iid <= 1e-9
-    assert all(rec.triangle_ok for rec in rep.trials)
+    assert rep.trials["triangle_ok"].all()
     # one more letter passes every other cap but not the plan's
     with pytest.raises(CapExceeded, match="caps"):
         run_simulation(_demo_config(n=11, r=0.5, rc=0.3, seed=0))
@@ -851,8 +870,11 @@ def test_correction_disabled_skips_bound_fields():
     rep = run_simulation(cfg)
     assert rep.ot_block_cost is None and rep.distortion_bound is None
     assert rep.mean_distortion == rep.pre_correction_distortion
-    assert all(rec.triangle_ok is None for rec in rep.trials)
-    assert all(rec.corrected_distortion is None for rec in rep.trials)
+    assert set(rep.trials) == {"k", "j", "encoder_fallback", "distortion"}
+    rows = rep.to_dict()["trials"]
+    assert len(rows) == 4
+    assert all(row[name] is None for row in rows for name in (
+        "correction_move", "corrected_distortion", "triangle_ok"))
 
 
 def test_nonsquare_distortion_rules():
@@ -923,11 +945,10 @@ def test_monte_carlo_smoke_and_determinism():
     rep = run_simulation(cfg)
     assert rep.mode == "monte-carlo" and rep.tv_output_is_plugin
     assert rep.idealized_distortion is None
-    assert len(rep.trials) == 6
-    assert all(rec.triangle_ok for rec in rep.trials)
+    assert rep.trials["k"].size == 6
+    assert rep.trials["triangle_ok"].all()
     assert 0.0 <= rep.mean_distortion <= 1.0
-    assert rep.encoder_fallbacks == sum(
-        rec.encoder_fallback for rec in rep.trials)
+    assert rep.encoder_fallbacks == rep.trials["encoder_fallback"].sum()
     again = run_simulation(cfg)
     assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(
         again.to_dict(), sort_keys=True)
