@@ -144,23 +144,15 @@ def _matrix(field: str, value) -> np.ndarray:
     return arr
 
 
-def _scalar(args, config: dict, field: str, default=None):
-    """Flag value if given, else config value, else default."""
+def _setting(args, config: dict, field: str, parse, default=None):
+    """Flag value if given, else the config value read by parse
+    (_number or _integer), else default."""
     flag = getattr(args, field, None)
     if flag is not None:
         return flag
     if field in config:
-        return _number(field, config[field])
+        return parse(field, config[field])
     return default
-
-
-def _int_setting(args, config: dict, field: str, default) -> int:
-    """Flag value if given, else config value, else default; it must be
-    an integer."""
-    value = getattr(args, field, None)
-    if value is None:
-        value = config.get(field, default)
-    return _integer(field, value)
 
 
 def _coupling_problem(cfg: dict):
@@ -178,7 +170,7 @@ def _result_payload(value: float, witness) -> dict:
 
 
 def _grid_points(args, config: dict) -> int:
-    points = _int_setting(args, config, "points", DEFAULT_POINTS)
+    points = _setting(args, config, "points", _integer, DEFAULT_POINTS)
     if points < 2:
         raise ValueError("need at least 2 grid points")
     if points > MAX_POINTS:
@@ -193,7 +185,7 @@ def _grid_points(args, config: dict) -> int:
 
 def _cmd_region_bsc(args) -> int:
     cfg = _load_config(args.config, {"d", "points"}, set())
-    d = _scalar(args, cfg, "d")
+    d = _setting(args, cfg, "d", _number)
     if d is None:
         raise ValueError("region-bsc needs --d or a config with d")
     if not 0.0 < d < 0.5:
@@ -207,12 +199,12 @@ def _cmd_region_bsc(args) -> int:
 def _cmd_region_gauss(args) -> int:
     cfg = _load_config(args.config,
                        {"sigma_x", "sigma_y", "d", "rc_max", "points"}, set())
-    sigma_x = _scalar(args, cfg, "sigma_x")
-    sigma_y = _scalar(args, cfg, "sigma_y")
-    d = _scalar(args, cfg, "d")
+    sigma_x = _setting(args, cfg, "sigma_x", _number)
+    sigma_y = _setting(args, cfg, "sigma_y", _number)
+    d = _setting(args, cfg, "d", _number)
     if sigma_x is None or sigma_y is None or d is None:
         raise ValueError("region-gauss needs sigma_x, sigma_y and d")
-    rc_max = _scalar(args, cfg, "rc_max", DEFAULT_RC_MAX)
+    rc_max = _setting(args, cfg, "rc_max", _number, DEFAULT_RC_MAX)
     if not 0.0 < rc_max < math.inf:
         raise ValueError("rc_max must be positive and finite")
     points = _grid_points(args, cfg)
@@ -236,7 +228,7 @@ def _cmd_softcover(args) -> int:
         raise ValueError("n_values must be a non-empty list")
     n_values = [_integer("n_values entry", n) for n in n_values]
     codebooks = _integer("codebooks", cfg.get("codebooks", 32))
-    seed = _int_setting(args, cfg, "seed", 0)
+    seed = _setting(args, cfg, "seed", _integer, 0)
     rows = [(n, soft_covering_exact(p_v, channel, n, r, seed,
                                     num_codebooks=codebooks))
             for n in n_values]
@@ -260,7 +252,7 @@ def _cmd_mmi(args) -> int:
 def _cmd_closed_form(field: str, formula, args) -> int:
     """A closed form of the one scalar field: wyner (a0), c0 (d)."""
     cfg = _load_config(args.config, {field}, set())
-    value = _scalar(args, cfg, field)
+    value = _setting(args, cfg, field, _number)
     if value is None:
         raise ValueError(f"{args.command} needs --{field} or a config "
                          f"with {field}")
@@ -273,8 +265,8 @@ def _cmd_i0(args) -> int:
                        {"mu", "psi", "rho", "d", "restarts", "seed"},
                        {"mu", "psi", "rho", "d"})
     mu, psi, rho, d = _coupling_problem(cfg)
-    restarts = _int_setting(args, cfg, "restarts", 64)
-    seed = _int_setting(args, cfg, "seed", 0)
+    restarts = _setting(args, cfg, "restarts", _integer, 64)
+    seed = _setting(args, cfg, "seed", _integer, 0)
     value, triple = i0_solver(mu, psi, rho, d, restarts=restarts, seed=seed)
     witness = None
     if triple is not None:
@@ -334,7 +326,7 @@ def _cmd_simulate(args) -> int:
         r=_number("r", cfg["r"]),
         rc=_number("rc", cfg["rc"]),
         trials=_integer("trials", cfg["trials"]),
-        seed=_int_setting(args, cfg, "seed", 0),
+        seed=_setting(args, cfg, "seed", _integer, 0),
         correction=correction,
         mode=mode,
         metric_power=_number("metric_power", cfg.get("metric_power", 1.0)),

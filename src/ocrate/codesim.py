@@ -37,15 +37,21 @@ first draws four arrays, in this order: the source uniforms (trials x
 n), k (one per trial), the encoder uniforms (one per trial) and the
 decoder uniforms (trials x n); none of these depends on the encoder's
 scores. The second scores the trials in batches that share k and picks
-each j by inverting its CDF at the stored uniform; a trial whose block
-has zero likelihood under every codeword of its column takes its j
-from the same uniform with equal weights, which is the exact encoder's
-law on such a block. One decode call then emits every block. A batch's
-scores are one matrix product per j-slice of its codebook column: the
-slice's one-hot times the batch's table of per-letter log-likelihoods.
-The decoder and both corrections' relabelling draw by one row-CDF
-sampler. Both modes keep per-trial arrays of trials x n letters,
-capped at 2^24 cells.
+each j from its stored uniform; a trial whose block has zero likelihood
+under every codeword of its column takes its j from the same uniform
+with equal weights, which is the exact encoder's law on such a block.
+One decode call then emits every block. A batch's scores are one matrix
+product per j-slice of its codebook column: the slice's one-hot times
+the batch's table of per-letter log-likelihoods. Both modes keep
+per-trial arrays of trials x n letters, capped at 2^24 cells.
+
+Every symbol draw (codebook and source letters, j, decoded letters and
+both corrections' relabelling) inverts a normalized CDF (_cdf: the
+cumulative sums divided by their last entry) at a uniform u by one
+left-closed rule: the symbol is the count of the CDF's first m - 1
+entries at most u, which is rng.choice's searchsorted(side="right").
+A symbol of zero mass has an empty step [cdf[s - 1], cdf[s]) and is
+never drawn.
 
 Everything is deterministic given the config seed: independent numpy
 SeedSequence streams (seed, tag) drive the codebook draw, the trial
@@ -92,21 +98,26 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
-    """The normalized CDF that rng.choice(p.size, p=p) searches."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
+    """The normalized CDFs along the last axis: the cumulative sums of
+    each row divided by their last entry, which for a 1-D p is the CDF
+    that rng.choice(p.size, p=p) searches."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
-def _letters(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write to out, and return, the letters that the uniforms u draw
-    from the normalized CDF of a small alphabet: the count of cdf[:-1]
-    entries at most u. As u < 1 = cdf[-1], that is
-    cdf.searchsorted(u, side="right"), and one pass per letter is
-    faster than the binary search on a few letters."""
+def _draw(cdfs: np.ndarray, rows, u: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """Write to out, and return, the symbols that the uniforms u draw
+    from the normalized CDF rows of cdfs (see _cdf) that rows names,
+    entry by entry: the count of the row's first m - 1 entries at most
+    u. As u < 1 = the row's last entry, that is rng.choice's
+    searchsorted(side="right"), and one pass per symbol is faster than
+    the binary search on a few symbols. A single CDF passes cdfs[None]
+    and rows 0, and each pass compares with one scalar."""
     out[...] = 0
-    for step in cdf[:-1]:
-        out += u >= step
+    for c in range(cdfs.shape[1] - 1):
+        out += u >= cdfs[:, c].take(rows)
     return out
 
 
@@ -230,12 +241,12 @@ def generate_codebook(triple: MarkovTriple, n: int, r: float, rc: float,
     # the uniforms never take as much memory as the codebook
     rng = _stream(seed, _STREAM_CODEBOOK)
     size = triple.index_size
-    cdf = _cdf(triple.weights.probs)
+    cdf = _cdf(triple.weights.probs)[None]
     book = np.empty((num_j, num_k, n), dtype=np.min_scalar_type(-size))
     step = max(1, _CODEBOOK_SLICE // (num_k * n))
     for lo in range(0, num_j, step):
         part = book[lo:lo + step]
-        _letters(cdf, rng.random(part.shape), part)
+        _draw(cdf, 0, rng.random(part.shape), part)
     return book
 
 
@@ -280,20 +291,17 @@ def _scores(log_rows: np.ndarray, x_blocks: np.ndarray,
 
 def _pick(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the index drawn with probability proportional to
-    exp(scores) from the uniform u: the count of normalized-CDF entries
-    at most u, which is rng.choice's searchsorted on the same uniform.
-    A row with no finite score is drawn with equal weights from its
-    uniform, as rng.choice(num_j, p=np.full(num_j, 1 / num_j)) draws
-    it; the second array flags those rows."""
+    exp(scores) from the uniform u by the rule of _draw, over all num_j
+    entries at once. A row with no finite score is drawn with equal
+    weights from its uniform, as rng.choice(num_j, p=np.full(num_j,
+    1 / num_j)) draws it; the second array flags those rows."""
     top = scores.max(axis=1, keepdims=True)
     fallback = np.isneginf(top[:, 0])
     top[fallback] = 0.0
     w = np.exp(scores - top)
     w[fallback] = 1.0
     w /= w.sum(axis=1, keepdims=True)
-    cdf = w.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf <= u[:, None]).sum(axis=1), fallback
+    return (_cdf(w) <= u[:, None]).sum(axis=1), fallback
 
 
 def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
@@ -320,30 +328,19 @@ def likelihood_encode(codebook: np.ndarray, x_given_u: Channel,
     return int(j[0]), bool(fallback[0])
 
 
-def _sample_rows(cdfs: np.ndarray, letters: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """Per entry, the symbol drawn from the channel row of its letter
-    by inverting that row's CDF (a row of cdfs) at u: the count of the
-    row's CDF entries below u. CDF rows do not decrease, so leaving out
-    the last entry caps the count at the last symbol."""
-    out = np.zeros(letters.shape, dtype=np.intp)
-    for c in range(cdfs.shape[1] - 1):
-        out += u > cdfs[:, c].take(letters)
-    return out
-
-
 def decode(codebook: np.ndarray, j: np.ndarray, k: np.ndarray,
            y_given_u: Channel, uniforms: np.ndarray) -> np.ndarray:
     """Emit blocks through the Y-channel of codewords (j[t], k[t]), one
-    independent draw per position, by inverting the channel's cached
-    row CDFs (Channel.row_cdfs) at uniforms[t, i] (see _sample_rows).
-    j and k are indices or index arrays of one shape, and uniforms has
-    the shape of codebook[j, k]."""
-    return _sample_rows(y_given_u.row_cdfs, codebook[j, k], uniforms)
+    independent draw per position: the symbol that uniforms[t, i] draws
+    from the channel row of the codeword's letter by the left-closed
+    rule of _draw, as rng.choice draws it. j and k are indices or index
+    arrays of one shape, and uniforms has the shape of codebook[j, k]."""
+    words = codebook[j, k]
+    return _draw(_cdf(y_given_u.rows), words, uniforms,
+                 np.empty(words.shape, dtype=np.intp))
 
 
-def mixture_output_law(codewords: np.ndarray, channel: Channel,
-                       cap: int = DEFAULT_BLOCK_CAP) -> np.ndarray:
+def mixture_output_law(codewords: np.ndarray, channel: Channel) -> np.ndarray:
     """Exact law of a block emitted by first picking one of the given
     codewords uniformly, then passing it through the channel
     memorylessly. Blocks are indexed lexicographically, first symbol
@@ -364,8 +361,9 @@ def mixture_output_law(codewords: np.ndarray, channel: Channel,
     m, n = codewords.shape
     ny = channel.output_size
     num_blocks = ny ** n
-    if num_blocks > cap:
-        raise CapExceeded(f"{ny}^{n} output blocks exceed cap {cap}")
+    if num_blocks > DEFAULT_BLOCK_CAP:
+        raise CapExceeded(f"{ny}^{n} output blocks exceed cap "
+                          f"{DEFAULT_BLOCK_CAP}")
     words = codewords[np.lexsort(codewords.T[::-1])]
     # first position where each word differs from the one before it:
     # -1 for the first word, n for a repeat, which the counts absorb
@@ -505,15 +503,58 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     num_j = _ceil_codes(cfg.n * cfg.r)
     num_k = _ceil_codes(cfg.n * cfg.rc)
     mode = _choose_mode(cfg, num_j, num_k)
+    exact = mode == "exact"
     codebook = generate_codebook(cfg.triple, cfg.n, cfg.r, cfg.rc, cfg.seed)
     single = cfg.triple.expected_distortion(cfg.rho)
-    if mode == "exact":
-        return _run_exact(cfg, codebook, num_j, num_k, single)
-    return _run_monte_carlo(cfg, codebook, num_j, num_k, single)
+    psi = cfg.triple.induced_y().probs
+    fields, cond = (_exact_laws(cfg, codebook, num_j, num_k, single)
+                    if exact else ({}, None))
+    xs, ks, js, fbs, ys = _trial_loop(cfg, codebook, num_j, num_k)
+
+    final = ys
+    if cfg.correction:
+        if not exact:
+            # single-letter surrogate: couple the pooled empirical letter
+            # law to the target letters and relabel letter by letter
+            emp = np.bincount(ys.ravel(), minlength=psi.size) / ys.size
+            cond = solve_ot(TransportProblem(Pmf(emp), Pmf(psi),
+                                             cfg.rho.costs)).conditional_rows()
+        # the exact plan relabels whole blocks by their index, first
+        # letter most significant as in all_blocks
+        blocks = (psi.size,) * cfg.n
+        labels = np.ravel_multi_index(ys.T, blocks) if exact else ys
+        u = _stream(cfg.seed, _STREAM_CORRECTION).random(labels.shape)
+        final = _draw(_cdf(cond), labels, u,
+                      np.empty(labels.shape, dtype=np.intp))
+        if exact:
+            final = np.stack(np.unravel_index(final, blocks), axis=1)
+    columns, trial_mean = _trial_columns(cfg, xs, ks, js, fbs, ys, final)
+
+    if not exact:
+        # biased plug-in total variation against the iid block law
+        seen, counts = np.unique(final, axis=0, return_counts=True)
+        emp_mass = counts / counts.sum()
+        iid_mass = np.prod(psi[seen], axis=1)
+        fields = {"mean_distortion": trial_mean, "tv_output_vs_iid": float(
+            1.0 - np.minimum(emp_mass, iid_mass).sum())}
+    return SimReport(
+        mode=mode, n=cfg.n, num_j=num_j, num_k=num_k,
+        single_letter_distortion=float(single),
+        tv_output_is_plugin=not exact,
+        encoder_fallbacks=int(fbs.sum()),
+        trial_mean_distortion=trial_mean,
+        trials=columns,
+        **fields,
+    )
 
 
-def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
-               single: float) -> SimReport:
+def _exact_laws(cfg: SimConfig, codebook: np.ndarray, num_j: int,
+                num_k: int, single: float
+                ) -> tuple[dict[str, float], np.ndarray | None]:
+    """The exact-mode SimReport fields of the codebook's enumerated
+    block laws and, with the correction, the conditional rows of its
+    block plan, indexed by output block as in all_blocks (None
+    without the correction)."""
     a = cfg.triple.x_given_u.rows
     b = cfg.triple.y_given_u.rows
     nx, ny, n = a.shape[1], b.shape[1], cfg.n
@@ -521,7 +562,6 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     yb = all_blocks(ny, n)
     mu_n = product_extension(cfg.triple.induced_x(), n).probs
     psi_n = product_extension(cfg.triple.induced_y(), n).probs
-    q = max(1.0, cfg.metric_power)
 
     # unnormalized likelihood of each source block under each codeword
     likel = np.ones((xb.shape[0], num_j, num_k))
@@ -542,8 +582,6 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     enc *= mu_n[:, None, None]
     joint = np.einsum("xjk,jky->xy", enc, dec) / num_k
     out_law = joint.sum(axis=0)
-    gamma_out = dec.mean(axis=(0, 1))
-    tv_soft = total_variation(gamma_out, psi_n)
     # distortion of the idealized block joint, where the source rides
     # the codeword instead of being swapped in by the encoder; the
     # product structure makes it the single-letter value exactly
@@ -551,54 +589,32 @@ def _run_exact(cfg: SimConfig, codebook: np.ndarray, num_j: int, num_k: int,
     joint_ideal = np.ones((xb.shape[0], yb.shape[0]))
     for i in range(n):
         joint_ideal *= letter_joint[xb[:, i]][:, yb[:, i]]
-    idealized = float(np.einsum("xy,xy->", joint_ideal, rho_xy))
     pre_d = float(np.einsum("xy,xy->", joint, rho_xy))
     tv_pre = total_variation(out_law, psi_n)
-
-    xs, ks, js, fbs, ys = _trial_loop(cfg, codebook, num_j, num_k)
-    final = None
-    ot_cost = None
-    bound = None
-    slack = None
-    if cfg.correction:
-        rho_yy = _block_cost(cfg.rho.costs, yb, yb)
-        plan = _surplus_plan(out_law, psi_n, rho_yy,
-                             _is_metric(cfg.rho.costs))
-        ot_cost = plan.cost
-        cond = plan.conditional_rows()
-        joint_post = joint @ cond
-        final_law = out_law @ cond
-        mean_d = float(np.einsum("xy,xy->", joint_post, rho_xy))
-        tv_final = total_variation(final_law, psi_n)
-        bound = float((pre_d ** (1.0 / q) + ot_cost ** (1.0 / q)) ** q)
-        slack = bound - single
-        # relabel each trial's block through the plan row of its block
-        # index, first letter most significant as in all_blocks
-        y_idx = ys @ ny ** np.arange(n - 1, -1, -1)
-        u = _stream(cfg.seed, _STREAM_CORRECTION).random(cfg.trials)
-        final = yb[_sample_rows(cond.cumsum(axis=1), y_idx, u)]
-    else:
-        mean_d = pre_d
-        tv_final = tv_pre
-    columns, trial_mean = _trial_columns(cfg, xs, ks, js, fbs, ys, final)
-
-    return SimReport(
-        mode="exact", n=n, num_j=num_j, num_k=num_k,
-        single_letter_distortion=float(single),
-        mean_distortion=mean_d,
-        tv_output_vs_iid=tv_final,
-        tv_output_is_plugin=False,
-        encoder_fallbacks=int(fbs.sum()),
-        idealized_distortion=idealized,
-        pre_correction_distortion=pre_d,
-        trial_mean_distortion=trial_mean,
-        tv_pre_correction=tv_pre,
-        tv_softcover=tv_soft,
-        ot_block_cost=ot_cost,
+    fields = {
+        "idealized_distortion": float(np.einsum("xy,xy->", joint_ideal,
+                                                rho_xy)),
+        "pre_correction_distortion": pre_d,
+        "tv_pre_correction": tv_pre,
+        "tv_softcover": total_variation(dec.mean(axis=(0, 1)), psi_n),
+        "mean_distortion": pre_d,
+        "tv_output_vs_iid": tv_pre,
+    }
+    if not cfg.correction:
+        return fields, None
+    plan = _surplus_plan(out_law, psi_n, _block_cost(cfg.rho.costs, yb, yb),
+                         _is_metric(cfg.rho.costs))
+    cond = plan.conditional_rows()
+    q = max(1.0, cfg.metric_power)
+    bound = float((pre_d ** (1.0 / q) + plan.cost ** (1.0 / q)) ** q)
+    fields.update(
+        mean_distortion=float(np.einsum("xy,xy->", joint @ cond, rho_xy)),
+        tv_output_vs_iid=total_variation(out_law @ cond, psi_n),
+        ot_block_cost=plan.cost,
         distortion_bound=bound,
-        distortion_slack=slack,
-        trials=columns,
+        distortion_slack=bound - single,
     )
+    return fields, cond
 
 
 def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
@@ -609,7 +625,7 @@ def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     from them (see the module docstring)."""
     n = cfg.n
     rng = _stream(cfg.seed, _STREAM_TRIALS)
-    cdf = _cdf(cfg.triple.induced_x().probs)
+    cdf = _cdf(cfg.triple.induced_x().probs)[None]
     log_rows = cfg.triple.x_given_u.log_rows
 
     # pass 1: the trial stream
@@ -620,7 +636,7 @@ def _trial_loop(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     dec_u = rng.random((trials, n))
 
     # pass 2: score every trial in batches that share k
-    xs = _letters(cdf, x_u, np.empty((trials, n), dtype=np.intp))
+    xs = _draw(cdf, 0, x_u, np.empty((trials, n), dtype=np.intp))
     js = np.empty(trials, dtype=np.intp)
     fbs = np.empty(trials, dtype=bool)
     order = np.argsort(ks, kind="stable")
@@ -657,39 +673,3 @@ def _trial_columns(cfg: SimConfig, xs: np.ndarray, ks: np.ndarray,
         columns.update(correction_move=moves, corrected_distortion=d_post,
                        triangle_ok=ok)
     return columns, float(columns.get("corrected_distortion", d_pre).mean())
-
-
-def _run_monte_carlo(cfg: SimConfig, codebook: np.ndarray, num_j: int,
-                     num_k: int, single: float) -> SimReport:
-    psi = cfg.triple.induced_y().probs
-    rho = cfg.rho.costs
-    xs, ks, js, fbs, ys = _trial_loop(cfg, codebook, num_j, num_k)
-
-    final = ys
-    if cfg.correction:
-        # single-letter surrogate: couple the pooled empirical symbol
-        # law to the target symbols and relabel letter by letter
-        emp = np.bincount(ys.ravel(), minlength=psi.size).astype(float)
-        emp /= emp.sum()
-        cond = solve_ot(TransportProblem(Pmf(emp), Pmf(psi), rho)
-                        ).conditional_rows()
-        u = _stream(cfg.seed, _STREAM_CORRECTION).random(ys.shape)
-        final = _sample_rows(cond.cumsum(axis=1), ys, u)
-    columns, mean_d = _trial_columns(cfg, xs, ks, js, fbs, ys, final)
-
-    # biased plug-in total variation against the iid block law
-    blocks, counts = np.unique(final, axis=0, return_counts=True)
-    emp_mass = counts / counts.sum()
-    iid_mass = np.prod(psi[blocks], axis=1)
-    tv_plugin = float(1.0 - np.minimum(emp_mass, iid_mass).sum())
-
-    return SimReport(
-        mode="monte-carlo", n=cfg.n, num_j=num_j, num_k=num_k,
-        single_letter_distortion=float(single),
-        mean_distortion=mean_d,
-        tv_output_vs_iid=tv_plugin,
-        tv_output_is_plugin=True,
-        encoder_fallbacks=int(fbs.sum()),
-        trial_mean_distortion=mean_d,
-        trials=columns,
-    )

@@ -99,14 +99,6 @@ class Channel:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def row_cdfs(self) -> np.ndarray:
-        """Cumulative sums along each row; computed on first use,
-        read-only."""
-        out = self.rows.cumsum(axis=1)
-        out.setflags(write=False)
-        return out
-
     def apply(self, p: Pmf) -> Pmf:
         """Pushforward of the input law through the channel."""
         if p.size != self.input_size:
@@ -142,15 +134,7 @@ class JointPmf:
         arr = np.asarray(self.table, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("joint table must be a nonempty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("joint table has non-finite entries")
-        if np.any(arr < -NEGATIVE_SLACK):
-            raise ValueError("joint table has negative entries")
-        arr = np.clip(arr, 0.0, None)
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_SLACK:
-            raise ValueError(f"joint table sums to {total!r}, not 1")
-        arr = arr / total
+        arr = _clean_pmf_array(arr.ravel(), "joint table").reshape(arr.shape)
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 

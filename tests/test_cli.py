@@ -314,6 +314,25 @@ def test_softcover_demo_bytes_are_pinned(seed):
     assert proc.stdout.encode() == pinned.read_bytes()
 
 
+def test_flags_override_the_config(tmp_path):
+    """A flag wins over the config field of the same name, and the
+    config field over the default: --points and --d of region-bsc, and
+    the integer seed of softcover read from the config."""
+    config = write_config(tmp_path, {"d": 0.2, "points": 9})
+    proc = run_cli("region-bsc", "--config", config)
+    assert proc.returncode == 0 and len(parse_csv(proc.stdout)[1]) == 9
+    proc = run_cli("region-bsc", "--config", config, "--points", "5",
+                   "--d", "0.25")
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli("region-bsc", "--d", "0.25",
+                                  "--points", "5").stdout
+    raw = json.loads((DEMO_CONFIGS / "softcover.json").read_text())
+    raw["seed"] = 7
+    proc = run_cli("softcover", "--config", write_config(tmp_path, raw))
+    assert proc.stdout.encode() == (
+        PINNED / "softcover_demo_seed7.csv").read_bytes()
+
+
 def test_simulate_demo_trials_csv_is_pinned(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("simulate", "--config", str(DEMO_CONFIGS / "simulate.json"),

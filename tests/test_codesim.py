@@ -5,7 +5,9 @@ the correction stage, and the soft-covering trend."""
 import json
 import math
 import tracemalloc
+from contextlib import ExitStack
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -27,7 +29,7 @@ from ocrate import (
     soft_covering_exact,
 )
 from ocrate import codesim
-from ocrate.codesim import _cdf, _choose_mode, _letters
+from ocrate.codesim import _cdf, _choose_mode, _draw
 from ocrate.transport import TransportProblem, solve_ot
 from oracles import (mixture_law_by_loop, ot_interior_point,
                      ot_vertex_enumeration)
@@ -145,24 +147,26 @@ def _zero_rich_channel(gen, rows, cols) -> Channel:
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6),
        st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
 def test_batched_decode_matches_row_inversion(nu, ny, num_k, n, seed):
-    """Each decoded symbol is the inverse of its codeword letter's row
-    CDF at the trial's uniform, one row at a time, as in a per-block
-    decoder."""
+    """Each decoded symbol is the inverse of its codeword letter's
+    normalized row CDF at the trial's uniform, one row at a time, as in
+    a per-block decoder: the count of the row's first |Y| - 1 CDF
+    entries at most the uniform."""
     gen = np.random.default_rng(seed)
     chan = _zero_rich_channel(gen, nu, ny)
+    cdfs = np.cumsum(chan.rows, axis=1)
+    cdfs /= cdfs[:, -1:]
     book = gen.integers(nu, size=(5, num_k, n))
     trials = 30
     js, ks = gen.integers(5, size=trials), gen.integers(num_k, size=trials)
     # uniforms on the CDF steps themselves hit the comparison's edge
     uniforms = gen.random((trials, n))
-    uniforms[:, 0] = chan.row_cdfs[book[js, ks, 0], gen.integers(ny)]
+    uniforms[:, 0] = cdfs[book[js, ks, 0], gen.integers(ny)]
     got = decode(book, js, ks, chan, uniforms)
     assert got.shape == (trials, n)
     for t in range(trials):
         for i in range(n):
-            cdf = chan.row_cdfs[book[js[t], ks[t], i]]
-            want = min(int((uniforms[t, i] > cdf).sum()), ny - 1)
-            assert got[t, i] == want
+            cdf = cdfs[book[js[t], ks[t], i]]
+            assert got[t, i] == int((cdf[:-1] <= uniforms[t, i]).sum())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -173,18 +177,79 @@ def test_correction_relabel_matches_comparison_tensor(size, trials, n, seed):
     """Both correction stages relabel through the decoder's row
     sampler: the Monte-Carlo one letter by letter, the exact one on
     block indices with |Y|^n-wide plan rows. That is the count over the
-    whole (trials, n, size) comparison tensor, capped at the last
-    symbol."""
+    whole (trials, n, size - 1) comparison tensor of the normalized CDF
+    entries at most the uniform."""
     gen = np.random.default_rng(seed)
-    cum = _zero_rich_channel(gen, size, size).rows.cumsum(1)
+    rows = _zero_rich_channel(gen, size, size).rows
+    cdfs = rows.cumsum(1)
+    cdfs /= cdfs[:, -1:]
     ys = gen.integers(size, size=(trials, n))
     u = gen.random((trials, n))
     # uniforms on the CDF steps themselves, the last one included, and
-    # just above the last step, which round-off can leave below 1
-    u[:, 0] = cum[ys[:, 0], gen.integers(size, size=trials)]
-    u[:, -1] = np.nextafter(cum[ys[:, -1], -1], 2.0)
-    want = np.minimum((u[..., None] > cum[ys]).sum(-1), size - 1)
-    np.testing.assert_array_equal(codesim._sample_rows(cum, ys, u), want)
+    # the largest uniform below 1
+    u[:, 0] = cdfs[ys[:, 0], gen.integers(size, size=trials)]
+    u[:, -1] = np.nextafter(1.0, 0.0)
+    want = (u[..., None] >= cdfs[ys][..., :-1]).sum(-1)
+    np.testing.assert_array_equal(
+        _draw(_cdf(rows), ys, u, np.empty(ys.shape, dtype=np.intp)), want)
+
+
+def _constant_correction_uniforms(u):
+    """A patch of codesim._stream under which every correction uniform
+    is u and the other streams are the seeded ones."""
+    stream = codesim._stream
+
+    def patched(seed, tag):
+        if tag != codesim._STREAM_CORRECTION:
+            return stream(seed, tag)
+        return SimpleNamespace(random=lambda size: np.full(size, u))
+
+    return patch.object(codesim, "_stream", patched)
+
+
+@pytest.mark.parametrize("row, u", [
+    ([0.0, 1.0], 0.0),
+    # the cumulative sum ends at 0.9999999999999999, the largest uniform
+    ([0.1] * 10 + [0.0], np.nextafter(1.0, 0.0)),
+])
+def test_no_draw_lands_on_a_zero_mass_symbol(row, u):
+    """The decoder and both correction stages never emit a symbol of
+    zero mass, at the smallest uniform and at the largest: the decoder
+    on the given channel row, and the corrections on every row of their
+    plans with every relabelling uniform set to u."""
+    chan = Channel(np.array([row]))
+    [got] = decode(np.zeros((1, 1, 1), np.int8), 0, 0, chan, np.array([u]))
+    assert chan.rows[0, got] > 0.0
+    gen = np.random.default_rng(3)
+    triple = MarkovTriple(Pmf(np.array([0.3, 0.3, 0.4])),
+                          Channel(gen.dirichlet(np.ones(3), 3)),
+                          Channel(np.array([[0.0, 0.4, 0.6], [0.7, 0.3, 0.0],
+                                            [0.5, 0.0, 0.5]])))
+    for mode, plans in (("exact", "_surplus_plan"), ("monte-carlo",
+                                                      "solve_ot")):
+        cfg = SimConfig(triple=triple, rho=DistortionMatrix.hamming(3), n=3,
+                        r=0.5, rc=0.3, trials=400, seed=1, mode=mode)
+        seen, blocks = [], []
+        plan, columns = getattr(codesim, plans), codesim._trial_columns
+
+        def plan_spy(*args):
+            out = plan(*args)
+            seen.append(out.conditional_rows())
+            return out
+
+        def columns_spy(cfg, xs, ks, js, fbs, ys, final):
+            blocks.append((ys, final))
+            return columns(cfg, xs, ks, js, fbs, ys, final)
+
+        with _constant_correction_uniforms(u), \
+                patch.object(codesim, plans, plan_spy), \
+                patch.object(codesim, "_trial_columns", columns_spy):
+            assert run_simulation(cfg).mode == mode
+        [cond], [(ys, final)] = seen, blocks
+        if mode == "exact":
+            ys, final = (np.ravel_multi_index(b.T, (3,) * cfg.n)
+                         for b in (ys, final))
+        assert np.all(cond[ys, final] > 0.0)
 
 
 def test_mixture_output_law_hand_values():
@@ -204,7 +269,8 @@ def test_mixture_output_law_hand_values():
     np.testing.assert_allclose(mixture_output_law(cw, chan), want, atol=1e-15)
 
     with pytest.raises(CapExceeded):
-        mixture_output_law(np.zeros((1, 4), dtype=np.int64), chan, cap=8)
+        # 2^24 output blocks, past the cap before any allocation
+        mixture_output_law(np.zeros((1, 24), dtype=np.int64), chan)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -593,6 +659,23 @@ def test_monte_carlo_report_bytes_are_pinned(name, make_config):
                    ("tv_output_vs_iid",))
 
 
+@pytest.mark.parametrize("mode, helpers", [
+    ("exact", ("decode", "_trial_loop", "_trial_columns", "_surplus_plan")),
+    ("monte-carlo", ("decode", "solve_ot", "_trial_loop", "_trial_columns")),
+])
+def test_run_calls_each_patchable_helper_once(mode, helpers):
+    """The benchmark captures a Monte-Carlo run's decoded blocks and
+    correction plan by patching codesim.decode and codesim.solve_ot,
+    and tests patch _trial_loop, _trial_columns and _surplus_plan: a
+    run reaches each through its module global, once."""
+    cfg = _demo_config(n=3, trials=20, mode=mode)
+    with ExitStack() as stack:
+        spies = [stack.enter_context(patch.object(
+            codesim, name, wraps=getattr(codesim, name))) for name in helpers]
+        assert run_simulation(cfg).mode == mode
+    assert [spy.call_count for spy in spies] == [1] * len(helpers)
+
+
 def test_exact_mode_at_the_plan_cap():
     # 2^10 output blocks make a plan of exactly 2^20 cells; this run once
     # asked for a 2.2 GiB dense constraint matrix and died
@@ -619,19 +702,19 @@ def test_letters_match_numpy_choice(weights, seed):
     """The letter draws of the codebook and the Monte-Carlo source
     blocks, size n at once, are rng.choice's from the same uniforms."""
     p = np.array(weights) / sum(weights)
+    cdf = _cdf(p)[None]
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in (1, 7):
         np.testing.assert_array_equal(
-            _letters(_cdf(p), fast.random(n), np.empty(n, dtype=np.intp)),
+            _draw(cdf, 0, fast.random(n), np.empty(n, dtype=np.intp)),
             slow.choice(p.size, size=n, p=p))
     # both used the same uniforms
     assert fast.random() == slow.random()
     # uniforms on the CDF steps themselves hit the comparison's edge
-    cdf = _cdf(p)
     edges = np.append(cdf[cdf < 1.0], 0.0)
     np.testing.assert_array_equal(
-        _letters(cdf, edges, np.empty(edges.size, dtype=np.int8)),
-        cdf.searchsorted(edges, side="right"))
+        _draw(cdf, 0, edges, np.empty(edges.size, dtype=np.int8)),
+        cdf[0].searchsorted(edges, side="right"))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -765,15 +848,15 @@ def _per_trial_loop(cfg, codebook, num_j, num_k):
     enc_u = rng.random(cfg.trials)
     dec_u = rng.random((cfg.trials, cfg.n))
     cdf = _cdf(cfg.triple.induced_x().probs)
+    y_cdfs = _cdf(cfg.triple.y_given_u.rows)
     rows = []
     for t in range(cfg.trials):
         x = cdf.searchsorted(x_u[t], side="right")
         k = int(ks[t])
         j, fell_back = _reference_encode(codebook, cfg.triple.x_given_u, x,
                                          k, enc_u[t])
-        cdfs = cfg.triple.y_given_u.row_cdfs[codebook[j, k]]
-        y = np.minimum((dec_u[t][:, None] > cdfs).sum(axis=1),
-                       cdfs.shape[1] - 1)
+        y = np.array([y_cdfs[c].searchsorted(u, side="right")
+                      for c, u in zip(codebook[j, k], dec_u[t])])
         rows.append((x, k, j, fell_back, y))
     xs, ks, js, fbs, ys = map(np.array, zip(*rows))
     return xs, ks, js, fbs, ys

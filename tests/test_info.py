@@ -60,16 +60,35 @@ def test_channel_validation():
     assert out.probs == pytest.approx([0.9, 0.1])
 
 
+def test_joint_pmf_validation():
+    """A joint table is checked like a pmf over its cells: non-finite,
+    negative and unnormalized tables are rejected with messages that
+    name the joint table, drift within 1e-9 is renormalized, and the
+    table keeps its shape and is read-only."""
+    for table, message in (
+            ([[0.5, np.nan], [0.25, 0.25]], "joint table has non-finite"),
+            ([[0.6, -0.1], [0.25, 0.25]], "joint table has negative"),
+            ([[0.5, 0.5], [0.25, 0.25]], r"joint table sums to 1\.5, not 1")):
+        with pytest.raises(ValueError, match=message):
+            JointPmf(np.array(table))
+    with pytest.raises(ValueError, match="nonempty 2-D"):
+        JointPmf(np.array([0.5, 0.5]))
+    joint = JointPmf(np.array([[0.5, 0.25], [0.25, 5e-10]]))
+    assert joint.shape == (2, 2)
+    assert joint.table.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        joint.table[0, 0] = 0.0
+
+
 def test_channel_cached_tables():
     chan = Channel(np.array([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]))
-    logs, cdfs = chan.log_rows, chan.row_cdfs
+    logs = chan.log_rows
     np.testing.assert_array_equal(
         logs, [[np.log(0.5), np.log(0.5), -np.inf],
                [-np.inf, np.log(0.25), np.log(0.75)]])
-    np.testing.assert_array_equal(cdfs, [[0.5, 1.0, 1.0], [0.0, 0.25, 1.0]])
     # computed once, then the same read-only object, like rows
-    assert chan.log_rows is logs and chan.row_cdfs is cdfs
-    for table in (chan.rows, logs, cdfs):
+    assert chan.log_rows is logs
+    for table in (chan.rows, logs):
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
     # the tables are not fields: equality, repr and validation see rows only
@@ -77,7 +96,6 @@ def test_channel_cached_tables():
     assert chan == chan
     read, fresh = Channel(np.array([[1.0]])), Channel(np.array([[1.0]]))
     assert read.log_rows.tolist() == [[0.0]]
-    assert read.row_cdfs.tolist() == [[1.0]]
     assert read == fresh
     assert repr(Channel(np.eye(2))) == repr(Channel(np.eye(2)).rows).join(
         ["Channel(rows=", ")"])
