@@ -22,10 +22,12 @@ Two modes:
   mixture law, and all mean distortions are computed exactly. The
   correction relabels each trial's output block through the exact
   plan's row of its block index. When the letter cost is a metric, so
-  is the block cost (the mean letter cost), and the plan keeps
-  min(p, q) of the output law p and the iid law q in place and
-  transports only the surplus onto the deficit; otherwise it solves
-  the full block problem.
+  is the block cost (the mean letter cost): it is the shortest-path
+  metric of the graph whose arcs change one letter. The plan then
+  keeps min(p, q) of the output law p and the iid law q in place and
+  moves the surplus onto the deficit by a minimum-cost flow on that
+  graph's n |Y|^n (|Y| - 1) arcs, not on the |Y|^2n cells of a
+  transport problem; otherwise it solves the full block problem.
 * monte-carlo: beyond the caps. Per-trial sampling only; the output
   total variation is the biased plug-in estimate from the empirical
   block histogram and is flagged as such, and the correction stage
@@ -60,9 +62,11 @@ loop, and the correction sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +81,8 @@ from .info import (
     total_variation,
 )
 from .region import MarkovTriple
-from .transport import COST_SLACK, Coupling, TransportProblem, solve_ot
+from .transport import (COST_SLACK, Coupling, TransportProblem, _flow_lp,
+                        repair_marginals, solve_ot)
 
 CODEBOOK_CAP = 2 ** 24
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
@@ -434,7 +439,7 @@ def _block_cost(rho: np.ndarray, left: np.ndarray,
     n = left.shape[1]
     out = np.zeros((left.shape[0], right.shape[0]))
     for i in range(n):
-        out += rho[np.ix_(left[:, i], right[:, i])]
+        out += rho[left[:, i, None], right[:, i]]
     return out / n
 
 
@@ -449,30 +454,116 @@ def _is_metric(costs: np.ndarray) -> bool:
                         for j in range(costs.shape[0])))
 
 
-def _surplus_plan(p: np.ndarray, q: np.ndarray, costs: np.ndarray,
-                  metric: bool) -> Coupling:
-    """Minimum-cost coupling of the laws p and q.
+class _Graph(NamedTuple):
+    """The arcs that change one letter of a block; see
+    _letter_change_graph."""
 
-    For a metric cost some optimal plan keeps min(p, q) in place and
-    moves only the surplus (p - q)+ onto the deficit (q - p)+
-    (Kantorovich-Rubinstein duality), so only that smaller problem goes
-    to solve_ot. Each side is divided by its own sum as a share of its
-    law's mass, sum(p - keep) / sum(p), never by 1 - sum(min(p, q)): on
-    near-equal laws that difference loses its digits to cancellation
-    and the normalized surplus no longer sums to 1. The plan is scaled
-    back by the surplus share and the kept diagonal added. With metric
-    False nothing is kept, both shares are exactly 1, and the same
-    lines give the full solve_ot plan of (p, q) bit for bit. With
-    p == q nothing moves and the plan is the diagonal."""
-    keep = np.minimum(p, q) if metric else np.zeros_like(p)
+    matrix: tuple[np.ndarray, np.ndarray, np.ndarray]
+    tails: np.ndarray
+    heads: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _letter_change_graph(size: int, n: int) -> _Graph:
+    """The graph on the size^n blocks, indexed as in all_blocks, whose
+    arcs change one letter: from each block, one arc per position and
+    other letter. matrix is the CSC (start, index, value) of its node-arc
+    matrix without the last row, the form transport._flow_lp takes;
+    per arc, tails and heads are its blocks, old the letter it replaces
+    and new the one it writes. The arrays are read-only, since the
+    cache hands the same ones to every caller."""
+    blocks = all_blocks(size, n)
+    nodes = blocks.shape[0]
+    old = np.repeat(blocks, size - 1, axis=1).ravel()
+    new = (old + np.tile(np.arange(1, size), nodes * n)) % size
+    place = np.repeat(size ** np.arange(n - 1, -1, -1), size - 1)
+    tails = np.repeat(np.arange(nodes), n * (size - 1))
+    heads = tails + (new - old) * np.tile(place, nodes)
+    # one column per arc: +1 in the tail's row, -1 in the head's; the
+    # last row is dropped
+    rows = np.stack([tails, heads], axis=1)
+    keep = rows < nodes - 1
+    start = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    matrix = (start.astype(np.int32), rows[keep].astype(np.int32),
+              np.broadcast_to([1.0, -1.0], rows.shape)[keep])
+    for arr in (*matrix, tails, heads, old, new):
+        arr.setflags(write=False)
+    return _Graph(matrix, tails, heads, old, new)
+
+
+def _flow_plan(supply: np.ndarray, demand: np.ndarray, rho: np.ndarray,
+               n: int) -> np.ndarray:
+    """Minimum-cost coupling of two laws on the blocks of length n,
+    under the mean letter cost with rho a metric, as a table.
+
+    The block cost is then the shortest-path metric of the graph of
+    _letter_change_graph, whose arcs cost rho[old, new] / n, so a
+    minimum-cost flow on its n |Y|^n (|Y| - 1) arcs (transport._flow_lp)
+    has the transport minimum's cost. The positive arcs of the simplex's
+    basic solution form a forest. Each source's mass is pushed along
+    them in Kahn's topological order, every arc whose tail has received
+    all its mass at once: a node keeps the share demand / (demand +
+    out-flow) of what reaches it and passes the rest on in proportion
+    to its out-flows. Every route runs on optimal arcs, so the table
+    costs the flow's cost. It is snapped onto the marginals with
+    repair_marginals. RuntimeError if the positive arcs hold a cycle."""
+    graph = _letter_change_graph(rho.shape[0], n)
+    flow = _flow_lp(graph.matrix, rho[graph.old, graph.new] / n, supply,
+                    demand)
+    used = np.flatnonzero(flow)
+    tails, heads, flow = graph.tails[used], graph.heads[used], flow[used]
+    size = supply.size
+    through = demand + np.bincount(tails, flow, minlength=size)
+    split = flow / through[tails]
+    sources = np.flatnonzero(supply)
+    # carry[v, s]: the mass of source s that reaches node v
+    carry = np.zeros((size, sources.size))
+    carry[sources, np.arange(sources.size)] = supply[sources]
+    waiting = np.bincount(heads, minlength=size)
+    pending = np.ones(flow.size, dtype=bool)
+    while (arcs := np.flatnonzero(pending & (waiting[tails] == 0))).size:
+        pending[arcs] = False
+        np.add.at(carry, heads[arcs], carry[tails[arcs]] * split[arcs, None])
+        np.subtract.at(waiting, heads[arcs], 1)
+    if pending.any():
+        raise RuntimeError("block correction: the flow's positive arcs "
+                           "hold a cycle")
+    sinks = np.flatnonzero(demand)
+    kept = carry[sinks].T * (demand[sinks] / through[sinks])
+    table = np.zeros((size, size))
+    table[np.ix_(sources, sinks)] = repair_marginals(kept, supply[sources],
+                                                     demand[sinks])
+    return table
+
+
+def _block_plan(p: np.ndarray, q: np.ndarray, rho: np.ndarray,
+                n: int) -> Coupling:
+    """Minimum-cost coupling of the laws p and q on the blocks of length
+    n, under the mean letter cost of rho.
+
+    For a metric rho (_is_metric) some optimal plan keeps min(p, q) in
+    place and moves only the surplus (p - q)+ onto the deficit
+    (q - p)+ (Kantorovich-Rubinstein duality); that part is _flow_plan's.
+    Each side is divided by its own sum as a share of its law's mass,
+    sum(p - keep) / sum(p), never by 1 - sum(min(p, q)): on near-equal
+    laws that difference loses its digits to cancellation. The plan is
+    scaled back by the surplus share and the kept diagonal added; with
+    p == q nothing moves and the plan is the diagonal. Any other rho
+    gets solve_ot's plan of the whole block problem."""
+    blocks = all_blocks(rho.shape[0], n)
+    costs = _block_cost(rho, blocks, blocks)
+    if not _is_metric(rho):
+        return solve_ot(TransportProblem(Pmf(p), Pmf(q), costs))
+    keep = np.minimum(p, q)
     moved, short = p - keep, q - keep
     share = moved.sum() / p.sum()
     short_share = short.sum() / q.sum()
     table = np.diag(keep)
     if share > 0.0 and short_share > 0.0:
-        plan = solve_ot(TransportProblem(Pmf(moved / share),
-                                         Pmf(short / short_share), costs))
-        table += share * plan.table
+        table += share * _flow_plan(moved / share, short / short_share,
+                                    rho, n)
     return Coupling(table, float((table * costs).sum()))
 
 
@@ -602,8 +693,7 @@ def _exact_laws(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     }
     if not cfg.correction:
         return fields, None
-    plan = _surplus_plan(out_law, psi_n, _block_cost(cfg.rho.costs, yb, yb),
-                         _is_metric(cfg.rho.costs))
+    plan = _block_plan(out_law, psi_n, cfg.rho.costs, n)
     cond = plan.conditional_rows()
     q = max(1.0, cfg.metric_power)
     bound = float((pre_d ** (1.0 / q) + plan.cost ** (1.0 / q)) ** q)

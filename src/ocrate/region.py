@@ -52,7 +52,7 @@ from .info import (
     mutual_information,
 )
 from .transport import (COST_SLACK, Coupling, TransportProblem,
-                        _highs_options, _rows, optimal_face,
+                        _highs, _rows, optimal_face,
                         repair_marginals, solve_ot)
 
 INF = float("inf")
@@ -590,11 +590,9 @@ class _AtomLp:
         upper = np.concatenate([mu.probs, psi.probs[:-1],
                                 [highspy.kHighsInf, highspy.kHighsInf,
                                  d + _I0_BUDGET_SLACK]])
-        opts = _highs_options()
-        opts.simplex_strategy = (
-            highspy.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
-        self.solver = highspy._Highs()
-        self.solver.passOptions(opts)
+        self.solver = _highs()
+        self.solver.setOptionValue("simplex_strategy", int(
+            highspy.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal))
         self.solver.addRows(lower.size, lower, upper, 0,
                             np.zeros(lower.size, dtype=np.int32),
                             np.empty(0, dtype=np.int32), np.empty(0))

@@ -13,7 +13,8 @@ HiGHS is called through scipy's own binding (`scipy.optimize._highspy`)
 with the options `linprog(method="highs-ds")` would set, presolve off,
 and the result is checked the way `linprog` checks it. `linprog` itself
 is not used: its input handling and result packing cost more than the
-solve on small problems.
+solve on small problems. A minimum-cost flow on a graph (`_flow_lp`,
+the exact simulator's block correction) goes through the same call.
 """
 
 from __future__ import annotations
@@ -83,68 +84,102 @@ def _rows(joint: np.ndarray, fallback: np.ndarray | float) -> np.ndarray:
                     fallback)
 
 
-def _highs_options() -> highspy.HighsOptions:
-    opts = highspy.HighsOptions()
-    # HiGHS presolve calls some feasible problems with symbols lighter
-    # than about 1e-8 infeasible
-    opts.presolve = "off"
-    opts.solver = "simplex"
-    opts.simplex_strategy = (
-        highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    opts.highs_debug_level = highspy.HighsDebugLevel.kHighsDebugLevelNone
-    opts.output_flag = False
-    opts.log_to_console = False
-    return opts
+# linprog(method="highs-ds")'s options, with presolve off: HiGHS
+# presolve calls some feasible problems with symbols lighter than about
+# 1e-8 infeasible
+_HIGHS_OPTIONS = (
+    ("presolve", "off"),
+    ("solver", "simplex"),
+    ("simplex_strategy",
+     int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    ("highs_debug_level", int(highspy.HighsDebugLevel.kHighsDebugLevelNone)),
+    ("output_flag", False),
+    ("log_to_console", False),
+)
 
 
-def _check_plan(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
-    """Raise RuntimeError unless the m x n LP solution plan is >= -PLAN_TOL
-    and meets the row sums mu and all column sums of nu but the last
-    (the dropped constraint) within PLAN_TOL. Every comparison is written
-    to fail on NaN."""
-    residual = np.concatenate([plan.sum(axis=1) - mu,
-                               plan.sum(axis=0)[:-1] - nu[:-1]])
-    if not (np.all(plan >= -PLAN_TOL)
-            and np.all(np.abs(residual) <= PLAN_TOL)):
+def _highs() -> highspy._Highs:
+    """A HiGHS instance with _HIGHS_OPTIONS set, one by one: building a
+    HighsOptions to pass costs more than a small solve's setup."""
+    solver = highspy._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        solver.setOptionValue(name, value)
+    return solver
+
+
+def _check_plan(x: np.ndarray, matrix: tuple[np.ndarray, ...],
+                b_eq: np.ndarray) -> None:
+    """Raise RuntimeError unless the LP solution x is >= -PLAN_TOL and
+    meets A x = b_eq within PLAN_TOL, A given in CSC form by matrix =
+    (start, index, value). Every comparison is written to fail on NaN."""
+    start, index, value = matrix
+    residual = np.bincount(index, weights=value * np.repeat(x, np.diff(start)),
+                           minlength=b_eq.size) - b_eq
+    if not (np.all(x >= -PLAN_TOL) and np.all(np.abs(residual) <= PLAN_TOL)):
         raise RuntimeError("transport LP failed: the solution does not "
                            f"meet the constraints within {PLAN_TOL:.2e}")
 
 
-def _transport_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    m, n = costs.shape
-    # row-sum and column-sum constraints; last column constraint is
-    # redundant given the rest and is dropped for rank. Column i*n + j
-    # of the CSC matrix holds row i and, when j < n - 1, row m + j, so
-    # column c starts at entry 2c - c // n.
+def _solve_lp(costs: np.ndarray, matrix: tuple[np.ndarray, ...],
+              b_eq: np.ndarray) -> np.ndarray:
+    """The x >= 0 of least cost costs @ x with A x = b_eq, A given in
+    CSC form by matrix = (start, index, value), from the HiGHS dual
+    simplex with _HIGHS_OPTIONS, clipped at 0. RuntimeError names the
+    HiGHS status unless it is optimal, or says that x failed
+    _check_plan, linprog's post-solve check."""
+    start, index, value = matrix
+    solver = _highs()
+    # the array form of passModel, whose last array marks every column
+    # continuous: filling a HighsLp copies each array element by element
+    solver.passModel(costs.size, b_eq.size, index.size,
+                     int(highspy.MatrixFormat.kColwise),
+                     int(highspy.ObjSense.kMinimize), 0.0, costs,
+                     np.zeros(costs.size), np.full(costs.size, highspy.kHighsInf),
+                     b_eq, b_eq, start, index, value,
+                     np.zeros(costs.size, dtype=np.int32))
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise RuntimeError(
+            f"transport LP failed: {solver.modelStatusToString(status)}")
+    x = np.array(solver.getSolution().col_value)
+    _check_plan(x, matrix, b_eq)
+    return np.clip(x, 0.0, None)
+
+
+def _transport_matrix(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """CSC (start, index, value) of the m x n transport LP's equality
+    matrix: the row sums, then the column sums but the last, which is
+    redundant given the rest and is dropped for rank. Column i*n + j
+    holds row i and, when j < n - 1, row m + j, so column c starts at
+    entry 2c - c // n."""
     rows = np.empty((m, n, 2), dtype=np.int32)
     rows[:, :, 0] = np.arange(m)[:, None]
     rows[:, :, 1] = m + np.arange(n)
     keep = np.ones((m, n, 2), dtype=bool)
     keep[:, n - 1, 1] = False
     starts = np.arange(m * n + 1, dtype=np.int32)
-    b_eq = np.concatenate([mu, nu[:-1]])
-    lp = highspy.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = m * n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + n - 1
-    lp.col_cost_ = costs.ravel()
-    lp.col_lower_ = np.zeros(m * n)
-    lp.col_upper_ = np.full(m * n, highspy.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = 2 * starts - starts // n
-    lp.a_matrix_.index_ = rows[keep]
-    lp.a_matrix_.value_ = np.ones(m * (2 * n - 1))
-    solver = highspy._Highs()
-    solver.passOptions(_highs_options())
-    solver.passModel(lp)
-    solver.run()
-    status = solver.getModelStatus()
-    if status != highspy.HighsModelStatus.kOptimal:
-        raise RuntimeError(
-            f"transport LP failed: {solver.modelStatusToString(status)}")
-    plan = np.array(solver.getSolution().col_value).reshape(m, n)
-    _check_plan(plan, mu, nu)
-    return np.clip(plan, 0.0, None)
+    return 2 * starts - starts // n, rows[keep], np.ones(m * (2 * n - 1))
+
+
+def _transport_lp(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    m, n = costs.shape
+    plan = _solve_lp(costs.ravel(), _transport_matrix(m, n),
+                     np.concatenate([mu, nu[:-1]]))
+    return plan.reshape(m, n)
+
+
+def _flow_lp(matrix: tuple[np.ndarray, ...], costs: np.ndarray,
+             supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """The arc flows of least cost that carry supply to demand on a
+    connected graph: at every node, out-flow minus in-flow is supply
+    minus demand. matrix is the CSC (start, index, value) of the
+    graph's node-arc matrix, +1 at an arc's tail and -1 at its head,
+    without its last row, which is redundant given the rest. When the
+    arc costs make the graph's shortest paths a metric, the least cost
+    is the transport minimum under that metric (the W1 distance of the
+    two laws)."""
+    return _solve_lp(costs, matrix, (supply - demand)[:-1])
 
 
 def repair_marginals(table: np.ndarray, row_target: np.ndarray,

@@ -225,8 +225,8 @@ def test_no_draw_lands_on_a_zero_mass_symbol(row, u):
                           Channel(gen.dirichlet(np.ones(3), 3)),
                           Channel(np.array([[0.0, 0.4, 0.6], [0.7, 0.3, 0.0],
                                             [0.5, 0.0, 0.5]])))
-    for mode, plans in (("exact", "_surplus_plan"), ("monte-carlo",
-                                                      "solve_ot")):
+    for mode, plans in (("exact", "_block_plan"), ("monte-carlo",
+                                                    "solve_ot")):
         cfg = SimConfig(triple=triple, rho=DistortionMatrix.hamming(3), n=3,
                         r=0.5, rc=0.3, trials=400, seed=1, mode=mode)
         seen, blocks = [], []
@@ -398,8 +398,8 @@ def test_exact_run_invariants():
 def test_exact_block_correction_at_n8():
     # HiGHS missed the marginals of this run's full 256-block problem by
     # more than 1e-9, and the transport layer must snap a plan onto them
-    # instead of failing; the 120 x 136 surplus problem solved now meets
-    # them to 1e-16
+    # instead of failing; the plan of the flow on the letter-change
+    # graph now meets them to 1e-17
     cfg = SimConfig(triple=_quarter_triple(), rho=HAMMING2, n=8, r=0.6,
                     rc=0.6, trials=4, seed=1, mode="exact")
     rep = run_simulation(cfg)
@@ -413,18 +413,21 @@ def test_n8_block_cost_is_the_transport_minimum():
     simulate_demo_n8_seed1 run) costs what an interior-point solve of
     the whole 256 x 256 problem costs. Eleven of its output blocks have
     mass below 1e-7, and the full simplex plan of solve_ot sat 1.45e-8
-    above this minimum."""
+    above this minimum; the plan is now a minimum-cost flow on the
+    2048 arcs that change one letter."""
     seen = []
-    plan = codesim._surplus_plan
+    plan = codesim._block_plan
 
-    def spy(p, q, costs, metric):
-        seen.append((p, q, costs, metric))
-        return plan(p, q, costs, metric)
+    def spy(p, q, rho, n):
+        seen.append((p, q, rho, n))
+        return plan(p, q, rho, n)
 
-    with patch.object(codesim, "_surplus_plan", spy):
+    with patch.object(codesim, "_block_plan", spy):
         rep = run_simulation(_demo_config(n=8, seed=1, trials=4))
-    [(p, q, costs, metric)] = seen
-    assert metric and costs.shape == (256, 256)
+    [(p, q, rho, n)] = seen
+    assert codesim._is_metric(rho) and n == 8
+    blocks = codesim.all_blocks(2, n)
+    costs = codesim._block_cost(rho, blocks, blocks)
     assert (p < 1e-7).sum() == 11
     assert abs(rep.ot_block_cost - ot_interior_point(p, q, costs)) <= 1e-12
 
@@ -441,6 +444,10 @@ def _letter_costs(family: str, size: int,
         return np.sqrt(((pts[:, None] - pts) ** 2).sum(axis=2))
     if family == "squared":
         return (i[:, None] - i) ** 2
+    if family == "pseudo":
+        # Hamming with letters 0 and 1 merged
+        merged = np.maximum(i, 1)
+        return (merged[:, None] != merged).astype(float)
     return gen.uniform(0.0, 1.0, (size, size))      # "uniform"
 
 
@@ -448,19 +455,23 @@ def _letter_costs(family: str, size: int,
 @given(st.sampled_from(["hamming", "absolute", "points", "squared",
                         "uniform"]),
        st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2),
-                        (2, 4), (4, 2), (2, 5), (3, 3), (2, 6), (4, 3)]),
+                        (2, 4), (4, 2), (2, 5), (3, 3), (2, 6), (4, 3),
+                        (2, 7), (2, 8), (3, 5), (4, 4)]),
        st.sampled_from([0.0, 1e-9, 0.05, 1.0]), st.integers(0, 2 ** 32 - 1))
 @example("hamming", (2, 6), 1e-9, 3).via(
     "near-equal laws: 1 - sum(min(p, q)) loses its digits")
 @example("hamming", (2, 2), 0.0, 0).via("p == q: nothing moves")
 @example("squared", (3, 1), 0.0, 0).via("p == q, cost no metric")
-def test_surplus_plan_is_a_minimum_cost_coupling(family, shape, closeness,
-                                                 seed):
+@example("pseudo", (3, 3), 0.05, 1).via(
+    "a pseudo-metric: the arcs between letters 0 and 1 cost 0")
+def test_block_plan_is_a_minimum_cost_coupling(family, shape, closeness,
+                                               seed):
     """The exact correction's block plan, on the mean per-letter cost of
-    |Y|^n <= 64 blocks between a law p and q = (1 - t) p + t r: it
+    |Y|^n <= 256 blocks between a law p and q = (1 - t) p + t r: it
     meets both marginals, costs the vertex-enumeration minimum on at
     most 4 blocks a side and never more than the full solve_ot plan.
-    For a metric letter cost it keeps min(p, q) in place, and it is the
+    For a metric letter cost it is a minimum-cost flow on the arcs that
+    change one letter, it keeps min(p, q) in place, and it is the
     diagonal at cost 0 when p == q; for any other cost it is the full
     solve_ot plan bit for bit. The laws are Dirichlet(1) draws: on laws
     with symbols lighter than the HiGHS tolerance solve_ot's own plans
@@ -470,14 +481,14 @@ def test_surplus_plan_is_a_minimum_cost_coupling(family, shape, closeness,
     rho = _letter_costs(family, size, gen)
     metric = codesim._is_metric(rho)
     # (i - j)^2 on two letters is |i - j|
-    assert metric == (family in ("hamming", "absolute", "points")
+    assert metric == (family in ("hamming", "absolute", "points", "pseudo")
                       or family == "squared" and size == 2)
     blocks = codesim.all_blocks(size, n)
     costs = codesim._block_cost(rho, blocks, blocks)
     p = gen.dirichlet(np.ones(len(blocks)))
     r = gen.dirichlet(np.ones(len(blocks)))
     q = (1.0 - closeness) * p + closeness * r
-    got = codesim._surplus_plan(p, q, costs, metric)
+    got = codesim._block_plan(p, q, rho, n)
     full = solve_ot(TransportProblem(Pmf(p), Pmf(q), costs))
     np.testing.assert_allclose(got.table.sum(axis=1), p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.table.sum(axis=0), q, rtol=0, atol=1e-12)
@@ -499,6 +510,17 @@ def test_surplus_plan_is_a_minimum_cost_coupling(family, shape, closeness,
         np.testing.assert_array_equal(got.table, np.diag(p))
     else:
         assert np.all(np.diag(got.table) >= np.minimum(p, q))
+
+
+def test_flow_plan_rejects_a_cyclic_flow():
+    """The positive arcs of a basic flow form a forest; a flow that runs
+    both ways between two blocks has no topological order and must raise
+    instead of returning a plan."""
+    supply, demand = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    with patch.object(codesim, "_flow_lp",
+                      lambda matrix, costs, *laws: np.ones(costs.size)), \
+            pytest.raises(RuntimeError, match="cycle"):
+        codesim._flow_plan(supply, demand, HAMMING2.costs, 1)
 
 
 def test_exact_run_determinism():
@@ -660,13 +682,13 @@ def test_monte_carlo_report_bytes_are_pinned(name, make_config):
 
 
 @pytest.mark.parametrize("mode, helpers", [
-    ("exact", ("decode", "_trial_loop", "_trial_columns", "_surplus_plan")),
+    ("exact", ("decode", "_trial_loop", "_trial_columns", "_block_plan")),
     ("monte-carlo", ("decode", "solve_ot", "_trial_loop", "_trial_columns")),
 ])
 def test_run_calls_each_patchable_helper_once(mode, helpers):
     """The benchmark captures a Monte-Carlo run's decoded blocks and
     correction plan by patching codesim.decode and codesim.solve_ot,
-    and tests patch _trial_loop, _trial_columns and _surplus_plan: a
+    and tests patch _trial_loop, _trial_columns and _block_plan: a
     run reaches each through its module global, once."""
     cfg = _demo_config(n=3, trials=20, mode=mode)
     with ExitStack() as stack:

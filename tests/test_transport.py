@@ -15,8 +15,11 @@ from ocrate.transport import (
     PLAN_TOL,
     Coupling,
     TransportProblem,
+    _HIGHS_OPTIONS,
     _check_plan,
+    _highs,
     _transport_lp,
+    _transport_matrix,
     optimal_face,
     solve_ot,
 )
@@ -186,22 +189,36 @@ def test_infeasible_lp_names_the_highs_status():
 def test_plan_check_rejects_nan_and_residuals():
     mu = np.array([0.5, 0.5])
     nu = np.array([0.4, 0.6])
+    matrix = _transport_matrix(2, 2)
+    b_eq = np.concatenate([mu, nu[:-1]])
+
+    def check(plan):
+        _check_plan(plan.ravel(), matrix, b_eq)
+
     plan = np.array([[0.4, 0.1], [0.0, 0.5]])
-    _check_plan(plan, mu, nu)
+    check(plan)
     nan_plan = plan.copy()
     nan_plan[1, 0] = np.nan
     with pytest.raises(RuntimeError, match="transport LP failed"):
-        _check_plan(nan_plan, mu, nu)
+        check(nan_plan)
     # off by 1e-3 on the first row and the first column
     off = plan.copy()
     off[0, 0] += 1e-3
     with pytest.raises(RuntimeError, match="transport LP failed"):
-        _check_plan(off, mu, nu)
+        check(off)
     # marginals met, one entry below -PLAN_TOL
     neg = np.array([[0.4 + 2 * PLAN_TOL, 0.1 - 2 * PLAN_TOL],
                     [-2 * PLAN_TOL, 0.5 + 2 * PLAN_TOL]])
     with pytest.raises(RuntimeError, match="transport LP failed"):
-        _check_plan(neg, mu, nu)
+        check(neg)
+
+
+def test_highs_gets_linprogs_options():
+    """The options are set one by one, and HiGHS ignores a value it
+    rejects; every one must read back as set."""
+    solver = _highs()
+    for name, value in _HIGHS_OPTIONS:
+        assert solver.getOptionValue(name)[1] == value, name
 
 
 def _rows_by_loop(table):
