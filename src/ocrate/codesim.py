@@ -18,16 +18,13 @@ Two modes:
   1e7 blocks, at most 2^24 codewords, at most 1e7 cells per
   enumeration tensor, and with correction at most 2^20 cells in the
   |Y|^n x |Y|^n correction plan, so binary n <= 10 and ternary
-  n <= 6). Output-law total variation, the idealized
-  mixture law, and all mean distortions are computed exactly. The
-  correction relabels each trial's output block through the exact
-  plan's row of its block index. When the letter cost is a metric, so
-  is the block cost (the mean letter cost): it is the shortest-path
-  metric of the graph whose arcs change one letter. The plan then
-  keeps min(p, q) of the output law p and the iid law q in place and
-  moves the surplus onto the deficit by a minimum-cost flow on that
-  graph's n |Y|^n (|Y| - 1) arcs, not on the |Y|^2n cells of a
-  transport problem; otherwise it solves the full block problem.
+  n <= 6). Output-law total variation, the idealized mixture law and
+  all mean distortions are computed exactly, the distortions from the
+  n per-position laws P(X_i, Y^n): no |X|^n x |Y|^n joint is built and
+  no BLAS product runs. The correction relabels each trial's output
+  block through its row of the exact block plan: for a metric letter
+  cost a minimum-cost flow on the arcs that change one letter of a
+  block (_block_plan), otherwise the full block transport problem.
 * monte-carlo: beyond the caps. Per-trial sampling only; the output
   total variation is the biased plug-in estimate from the empirical
   block histogram and is flagged as such, and the correction stage
@@ -433,13 +430,12 @@ def soft_covering_exact(p_v: Pmf, w_given_v: Channel, n: int, r: float,
     return float(np.mean(tvs))
 
 
-def _block_cost(rho: np.ndarray, left: np.ndarray,
-                right: np.ndarray) -> np.ndarray:
+def _block_cost(rho: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Mean per-letter cost between every pair of enumerated blocks."""
-    n = left.shape[1]
-    out = np.zeros((left.shape[0], right.shape[0]))
+    size, n = blocks.shape
+    out = np.zeros((size, size))
     for i in range(n):
-        out += rho[left[:, i, None], right[:, i]]
+        out += rho[blocks[:, i, None], blocks[:, i]]
     return out / n
 
 
@@ -552,8 +548,7 @@ def _block_plan(p: np.ndarray, q: np.ndarray, rho: np.ndarray,
     scaled back by the surplus share and the kept diagonal added; with
     p == q nothing moves and the plan is the diagonal. Any other rho
     gets solve_ot's plan of the whole block problem."""
-    blocks = all_blocks(rho.shape[0], n)
-    costs = _block_cost(rho, blocks, blocks)
+    costs = _block_cost(rho, all_blocks(rho.shape[0], n))
     if not _is_metric(rho):
         return solve_ot(TransportProblem(Pmf(p), Pmf(q), costs))
     keep = np.minimum(p, q)
@@ -645,7 +640,15 @@ def _exact_laws(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     """The exact-mode SimReport fields of the codebook's enumerated
     block laws and, with the correction, the conditional rows of its
     block plan, indexed by output block as in all_blocks (None
-    without the correction)."""
+    without the correction).
+
+    The distortion is a mean of letter costs, so the fields need the
+    block joint only through the laws L_i[c, y] = P(X_i = c, Y^n = y):
+    the output law is sum_c L_0[c], and a mean distortion is
+    (1/n) sum_i sum L_i[c, y] rho[c, y_i], y relabelled through the
+    plan's rows after the correction. idealized_distortion (the source
+    riding the codeword, not swapped in by the encoder) is the
+    single-letter value by the product structure."""
     a = cfg.triple.x_given_u.rows
     b = cfg.triple.y_given_u.rows
     nx, ny, n = a.shape[1], b.shape[1], cfg.n
@@ -667,24 +670,22 @@ def _exact_laws(cfg: SimConfig, codebook: np.ndarray, num_j: int,
     for i in range(n):
         dec *= b[codebook[:, :, i], :][:, :, yb[:, i]]
 
-    rho_xy = _block_cost(cfg.rho.costs, xb, yb)
-    # a two-operand einsum runs numpy's own loops: a BLAS product would
-    # make the joint's last bits follow the BLAS thread count
+    # laws[i, c, y] = P(X_i = c, Y^n = y): the encoder law times the
+    # source law, summed over the other source positions and contracted
+    # with the decoder over (j, k). A two-operand einsum runs numpy's
+    # own loops: a BLAS product would make the last bits follow the
+    # BLAS kernel and thread count
     enc *= mu_n[:, None, None]
-    joint = np.einsum("xjk,jky->xy", enc, dec) / num_k
-    out_law = joint.sum(axis=0)
-    # distortion of the idealized block joint, where the source rides
-    # the codeword instead of being swapped in by the encoder; the
-    # product structure makes it the single-letter value exactly
-    letter_joint = cfg.triple.induced_joint().table
-    joint_ideal = np.ones((xb.shape[0], yb.shape[0]))
-    for i in range(n):
-        joint_ideal *= letter_joint[xb[:, i]][:, yb[:, i]]
-    pre_d = float(np.einsum("xy,xy->", joint, rho_xy))
+    enc = enc.reshape((nx,) * n + (num_j, num_k))
+    laws = np.stack([np.einsum("cjk,jky->cy", enc.sum(axis=tuple(
+        p for p in range(n) if p != i)), dec) for i in range(n)]) / num_k
+    # letter[i, c, y] = rho[c, y_i]
+    letter = np.moveaxis(cfg.rho.costs[:, yb.T], 1, 0)
+    out_law = laws[0].sum(axis=0)
+    pre_d = float(np.einsum("icy,icy->", laws, letter)) / n
     tv_pre = total_variation(out_law, psi_n)
     fields = {
-        "idealized_distortion": float(np.einsum("xy,xy->", joint_ideal,
-                                                rho_xy)),
+        "idealized_distortion": float(single),
         "pre_correction_distortion": pre_d,
         "tv_pre_correction": tv_pre,
         "tv_softcover": total_variation(dec.mean(axis=(0, 1)), psi_n),
@@ -695,11 +696,13 @@ def _exact_laws(cfg: SimConfig, codebook: np.ndarray, num_j: int,
         return fields, None
     plan = _block_plan(out_law, psi_n, cfg.rho.costs, n)
     cond = plan.conditional_rows()
+    # the same laws with the output block relabelled through the plan
+    laws = np.einsum("icy,yz->icz", laws, cond)
     q = max(1.0, cfg.metric_power)
     bound = float((pre_d ** (1.0 / q) + plan.cost ** (1.0 / q)) ** q)
     fields.update(
-        mean_distortion=float(np.einsum("xy,xy->", joint @ cond, rho_xy)),
-        tv_output_vs_iid=total_variation(out_law @ cond, psi_n),
+        mean_distortion=float(np.einsum("icy,icy->", laws, letter)) / n,
+        tv_output_vs_iid=total_variation(laws[0].sum(axis=0), psi_n),
         ot_block_cost=plan.cost,
         distortion_bound=bound,
         distortion_slack=bound - single,

@@ -103,7 +103,8 @@ class Channel:
         """Pushforward of the input law through the channel."""
         if p.size != self.input_size:
             raise ValueError("input pmf does not match channel input size")
-        return Pmf(p.probs @ self.rows)
+        # numpy's loops: a BLAS product's last bits follow the kernel
+        return Pmf(np.einsum("u,uy->y", p.probs, self.rows))
 
     def joint(self, p: Pmf) -> "JointPmf":
         """Joint (input, output) law for a given input marginal."""

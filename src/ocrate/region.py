@@ -44,7 +44,6 @@ from .info import (
     Channel,
     DistortionMatrix,
     DomainError,
-    JointPmf,
     Pmf,
     _xlog2x,
     binary_entropy,
@@ -177,11 +176,6 @@ class MarkovTriple:
 
     def induced_y(self) -> Pmf:
         return self.y_given_u.apply(self.weights)
-
-    def induced_joint(self) -> JointPmf:
-        t = np.einsum("u,ux,uy->xy", self.weights.probs,
-                      self.x_given_u.rows, self.y_given_u.rows)
-        return JointPmf(t)
 
     def information_x(self) -> float:
         """I(X; U) in bits."""

@@ -8,7 +8,7 @@ and lower bounds on them from weak Lagrangian duality.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from scipy import sparse
@@ -239,3 +239,66 @@ def mixture_law_by_loop(codewords, rows):
             block = np.kron(block, rows[symbol])
         law = law + block
     return law / len(np.atleast_2d(codewords))
+
+
+def exact_fields_dense(weights, x_rows, y_rows, rho, codebook, plan=None,
+                       metric_power=1.0):
+    """The exact simulator's law fields by the dense block formulas.
+
+    The block joint P(X^n, Y^n) is summed by plain loops over the
+    codebook: per column k, each codeword's likelihood of every source
+    block, normalized over j (equal weights where every codeword gives
+    the block zero likelihood), times the source law and the
+    codeword's decoder law of every output block. Mean distortions are
+    sums of that joint against the dense block cost rho_xy, the mean
+    letter cost of every (source, output) pair, and the idealized one
+    uses the joint whose letters are iid pairs of the letter joint.
+    With the block plan (table, cost), the corrected joint is
+    joint @ cond, cond the plan's rows divided by their sums. Blocks
+    are indexed first letter most significant."""
+    weights, x_rows, y_rows, rho = (np.asarray(v, dtype=float) for v in
+                                    (weights, x_rows, y_rows, rho))
+    num_j, num_k, n = codebook.shape
+    nx, ny = x_rows.shape[1], y_rows.shape[1]
+    xb = np.array(list(product(range(nx), repeat=n)))
+    yb = np.array(list(product(range(ny), repeat=n)))
+    mu_n = np.prod((weights @ x_rows)[xb], axis=1)
+    psi_n = np.prod((weights @ y_rows)[yb], axis=1)
+    joint = np.zeros((len(xb), len(yb)))
+    softcover = np.zeros(len(yb))
+    for k in range(num_k):
+        likel = np.array([np.prod(x_rows[codebook[j, k, :, None], xb.T],
+                                  axis=0) for j in range(num_j)])
+        total = likel.sum(axis=0)
+        for j in range(num_j):
+            enc = np.where(total > 0.0, likel[j] / np.where(
+                total > 0.0, total, 1.0), 1.0 / num_j)
+            dec = np.prod(y_rows[codebook[j, k, :, None], yb.T], axis=0)
+            joint += np.outer(mu_n * enc, dec) / num_k
+            softcover += dec / (num_j * num_k)
+    rho_xy = rho[xb[:, None, :], yb[None, :, :]].mean(axis=2)
+    letters = np.einsum("u,ux,uy->xy", weights, x_rows, y_rows)
+    ideal = np.prod(letters[xb[:, None, :], yb[None, :, :]], axis=2)
+    out_law = joint.sum(axis=0)
+    pre = float((joint * rho_xy).sum())
+    fields = {
+        "idealized_distortion": float((ideal * rho_xy).sum()),
+        "pre_correction_distortion": pre,
+        "tv_pre_correction": 0.5 * float(np.abs(out_law - psi_n).sum()),
+        "tv_softcover": 0.5 * float(np.abs(softcover - psi_n).sum()),
+        "mean_distortion": pre,
+        "tv_output_vs_iid": 0.5 * float(np.abs(out_law - psi_n).sum()),
+    }
+    if plan is None:
+        return fields
+    table, cost = plan
+    mass = table.sum(axis=1, keepdims=True)
+    cond = table / np.where(mass > 0.0, mass, 1.0)
+    q = max(1.0, metric_power)
+    bound = (pre ** (1.0 / q) + cost ** (1.0 / q)) ** q
+    fields.update(
+        mean_distortion=float(((joint @ cond) * rho_xy).sum()),
+        tv_output_vs_iid=0.5 * float(np.abs(out_law @ cond - psi_n).sum()),
+        ot_block_cost=cost, distortion_bound=bound,
+        distortion_slack=bound - float(np.einsum("xy,xy->", letters, rho)))
+    return fields

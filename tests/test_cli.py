@@ -384,10 +384,18 @@ _MC_THREADS = {"weights": [0.6, 0.4], "y_given_u": BSC25_ROWS,
                "trials": 200, "seed": 3, "mode": "monte-carlo"}
 
 
+# (OPENBLAS_NUM_THREADS, OPENBLAS_CORETYPE): the CPU's own kernel on one
+# and two threads, then three forced kernels, with and without FMA
+_BLAS_SETTINGS = [("1", None), ("2", None), ("1", "Haswell"),
+                  ("1", "Sandybridge"), ("1", "Nehalem")]
+
+
 @pytest.mark.parametrize("payload", [
     pytest.param(dict(_MC_THREADS, x_given_u=BSC25_ROWS), id="x_given_u0"),
     pytest.param(dict(_MC_THREADS, x_given_u=[[1.0, 0.0], [0.2, 0.8]]),
                  id="x_given_u1"),
+    pytest.param(dict(json.loads((DEMO_CONFIGS / "simulate.json").read_text()),
+                      n=6), id="exact_n6"),
     pytest.param(dict(json.loads((DEMO_CONFIGS / "simulate.json").read_text()),
                       n=8, seed=1), id="exact_n8"),
 ])
@@ -396,21 +404,26 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, payload):
     that share k, on an X-channel with full support (x_given_u0) and on
     one with a zero entry (x_given_u1; the second product, which marks
     zero likelihoods, runs only there); both are large enough for
-    OpenBLAS to split them over two threads. At n = 8 the exact joint
-    and the correction's products over 256 output blocks are too. The
-    written artifacts must not change."""
+    OpenBLAS to split them over two threads. The exact runs at n = 6 and
+    n = 8 contract their laws over 64 and 256 output blocks without a
+    BLAS product. The written artifacts must not change with the thread
+    count or with the BLAS kernel."""
     cfg = write_config(tmp_path, payload)
     written = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.json"
+    for threads, kernel in _BLAS_SETTINGS:
+        out = tmp_path / f"threads{threads}{kernel}.json"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
         proc = run_cli("simulate", "--config", cfg, "--out", str(out),
                        env=env)
         assert proc.returncode == 0, proc.stderr
         written.append((out.read_text(),
-                        (tmp_path / f"threads{threads}.trials.csv").read_text()))
+                        out.with_suffix(".trials.csv").read_text()))
     assert json.loads(written[0][0])["mode"] == payload["mode"]
-    assert written[0] == written[1]
+    for setting, got in zip(_BLAS_SETTINGS, written):
+        assert got == written[0], setting
 
 
 # runs each command given as a JSON list of argv lists through

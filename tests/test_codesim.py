@@ -31,8 +31,8 @@ from ocrate import (
 from ocrate import codesim
 from ocrate.codesim import _cdf, _choose_mode, _draw
 from ocrate.transport import TransportProblem, solve_ot
-from oracles import (mixture_law_by_loop, ot_interior_point,
-                     ot_vertex_enumeration)
+from oracles import (exact_fields_dense, mixture_law_by_loop,
+                     ot_interior_point, ot_vertex_enumeration)
 
 PINNED = Path(__file__).parent / "pinned"
 DEMO_CONFIG = Path(__file__).parents[1] / "demos" / "configs" / "simulate.json"
@@ -379,7 +379,7 @@ def test_exact_run_invariants():
         assert rep.num_k == rep.num_j
         assert rep.tv_output_vs_iid <= 1e-12
         assert abs(rep.single_letter_distortion - 0.25) <= 1e-15
-        assert abs(rep.idealized_distortion - 0.25) <= 1e-12
+        assert rep.idealized_distortion == rep.single_letter_distortion
         assert rep.mean_distortion <= rep.distortion_bound + 1e-12
         want = (rep.pre_correction_distortion + rep.ot_block_cost)
         assert abs(rep.distortion_bound - want) <= 1e-12
@@ -427,7 +427,7 @@ def test_n8_block_cost_is_the_transport_minimum():
     [(p, q, rho, n)] = seen
     assert codesim._is_metric(rho) and n == 8
     blocks = codesim.all_blocks(2, n)
-    costs = codesim._block_cost(rho, blocks, blocks)
+    costs = codesim._block_cost(rho, blocks)
     assert (p < 1e-7).sum() == 11
     assert abs(rep.ot_block_cost - ot_interior_point(p, q, costs)) <= 1e-12
 
@@ -484,7 +484,7 @@ def test_block_plan_is_a_minimum_cost_coupling(family, shape, closeness,
     assert metric == (family in ("hamming", "absolute", "points", "pseudo")
                       or family == "squared" and size == 2)
     blocks = codesim.all_blocks(size, n)
-    costs = codesim._block_cost(rho, blocks, blocks)
+    costs = codesim._block_cost(rho, blocks)
     p = gen.dirichlet(np.ones(len(blocks)))
     r = gen.dirichlet(np.ones(len(blocks)))
     q = (1.0 - closeness) * p + closeness * r
@@ -557,19 +557,12 @@ def _fallback_config() -> SimConfig:
                      r=0.15, rc=0.1, trials=300, seed=3, mode="monte-carlo")
 
 
-def _assert_pinned(report: dict, name: str, blas_keys: tuple[str, ...]):
+def _assert_pinned(report: dict, name: str):
     # the same seed must give the same report bytes from one version of
-    # the code to the next, not only from one run to the next. Fields
-    # that come out of BLAS products have last bits that follow the BLAS
-    # kernel of the CPU (an OpenBLAS kernel without FMA gives
-    # tv_output_vs_iid 2.1e-17 instead of 2.8e-17 on the demo config),
-    # so they are held to round-off; every other byte is pinned.
-    want = json.loads((PINNED / f"{name}.json").read_text())
-    for key in blas_keys:
-        assert report.pop(key) == pytest.approx(want.pop(key), rel=1e-12,
-                                                abs=1e-15)
-    assert json.dumps(report, sort_keys=True) == json.dumps(want,
-                                                            sort_keys=True)
+    # the code to the next, not only from one run to the next; no field
+    # passes through a BLAS product, so every byte is pinned
+    assert json.dumps(report, sort_keys=True) == \
+        (PINNED / f"{name}.json").read_text()
 
 
 @pytest.mark.parametrize("name, changes", [
@@ -578,10 +571,64 @@ def _assert_pinned(report: dict, name: str, blas_keys: tuple[str, ...]):
     ("simulate_demo_uncorrected", {"correction": False}),
 ])
 def test_exact_report_bytes_are_pinned(name, changes):
-    # mean_distortion and tv_output_vs_iid pass through joint @ cond and
-    # out_law @ cond
-    _assert_pinned(run_simulation(_demo_config(**changes)).to_dict(), name,
-                   ("mean_distortion", "tv_output_vs_iid"))
+    _assert_pinned(run_simulation(_demo_config(**changes)).to_dict(), name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 4), st.sampled_from([0.0, 0.4, 1.0]),
+       st.sampled_from([0.0, 0.3, 0.8]), st.booleans(),
+       st.sampled_from(["hamming", "absolute", "squared", "uniform"]),
+       st.sampled_from([1.0, 2.0]), st.integers(0, 2 ** 32 - 1))
+@example(2, 2, 2, 4, 1.0, 0.8, True, "hamming", 1.0, 0).via(
+    "metric cost: the plan is a flow on the letter-change graph")
+@example(3, 3, 3, 3, 0.4, 0.3, True, "uniform", 2.0, 1).via(
+    "no metric: the plan is solve_ot's on the whole block problem")
+@example(2, 3, 2, 3, 0.4, 0.3, False, "absolute", 1.0, 2).via(
+    "|X| != |Y| without the correction")
+def test_exact_fields_match_the_dense_joint(nu, nx, ny, n, r, rc,
+                                            correction, family, power,
+                                            seed):
+    """Every exact-mode law field, read off the per-position laws
+    P(X_i, Y^n), is within 1e-12 of the dense reference: the block joint
+    summed by loops over the codebook, the dense block cost and, with the
+    correction, joint @ cond on the plan that the run solved. The trial
+    columns depend on the laws only through that plan: with the
+    reference's fields in place of the run's they are equal."""
+    gen = np.random.default_rng(seed)
+    if correction:
+        ny = nx
+    triple = MarkovTriple(Pmf(gen.dirichlet(np.ones(nu))),
+                          _zero_rich_channel(gen, nu, nx),
+                          _zero_rich_channel(gen, nu, ny))
+    rho = _letter_costs(family, max(nx, ny), gen)[:nx, :ny]
+    cfg = SimConfig(triple=triple, rho=DistortionMatrix(rho), n=n, r=r,
+                    rc=rc, trials=20, seed=seed, correction=correction,
+                    mode="exact", metric_power=power)
+    plans = []
+    block_plan = codesim._block_plan
+
+    def spy(*args):
+        plans.append(block_plan(*args))
+        return plans[-1]
+
+    with patch.object(codesim, "_block_plan", spy):
+        rep = run_simulation(cfg)
+    assert rep.mode == "exact" and len(plans) == correction
+    plan = plans[0] if correction else None
+    codebook = generate_codebook(triple, n, r, rc, seed)
+    want = exact_fields_dense(triple.weights.probs, triple.x_given_u.rows,
+                              triple.y_given_u.rows, rho, codebook,
+                              (plan.table, plan.cost) if correction
+                              else None, power)
+    for key, value in want.items():
+        assert abs(getattr(rep, key) - value) <= 1e-12, key
+    cond = plan.conditional_rows() if correction else None
+    with patch.object(codesim, "_exact_laws", lambda *args: (want, cond)):
+        again = run_simulation(cfg)
+    assert again.trials.keys() == rep.trials.keys()
+    for name, column in rep.trials.items():
+        assert again.trials[name].tobytes() == column.tobytes(), name
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -617,6 +664,23 @@ def test_report_holds_trials_as_columns():
     assert held <= 64 * trials
     assert peak <= 160 * trials
     assert rep.trials["triangle_ok"].size == trials
+
+
+def test_exact_laws_hold_no_block_joint():
+    """Binary n = 11 without the correction passes the |X|^n |Y|^n cap
+    at 4.2M cells, a 32 MiB dense joint; with 3 codewords the encoder
+    and decoder tensors have 6144 cells each. The per-position laws
+    keep the run's peak below an eighth of one such joint."""
+    cfg = _demo_config(n=11, r=0.1, rc=0.0, trials=10, correction=False)
+    tracemalloc.start()
+    try:
+        rep = run_simulation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.mode == "exact" and rep.num_j * rep.num_k == 3
+    joint_bytes = 2 ** 11 * 2 ** 11 * 8
+    assert peak <= joint_bytes / 8
 
 
 def _triangle_ok(corrected, distortion, move, exponent):
@@ -675,10 +739,7 @@ def test_trial_records_follow_the_per_trial_formulas(mode, power):
     ("simulate_mc_fallback_n12", _fallback_config),
 ])
 def test_monte_carlo_report_bytes_are_pinned(name, make_config):
-    # the plug-in total variation multiplies psi = weights @ rows; every
-    # other field is sums and means of exact table entries
-    _assert_pinned(run_simulation(make_config()).to_dict(), name,
-                   ("tv_output_vs_iid",))
+    _assert_pinned(run_simulation(make_config()).to_dict(), name)
 
 
 @pytest.mark.parametrize("mode, helpers", [
