@@ -29,7 +29,6 @@ from .region import (
     det_decoder_min_rate,
     empirical_region_min_rate,
     gaussian_boundary,
-    gaussian_mmi,
     i0_solver,
     mmi_constrained_output,
     wyner_bsc,
@@ -209,9 +208,9 @@ def _cmd_region_gauss(args) -> int:
         raise ValueError("rc_max must be positive and finite")
     points = _grid_points(args, cfg)
     spec = GaussianSpec(sigma_x, sigma_y, d)
-    curve = gaussian_boundary(spec, np.linspace(0.0, rc_max, points))
-    rows = list(curve.rates()) + [(math.inf, gaussian_mmi(spec))]
-    _emit(_csv_text("rc,r_min", rows), args.out)
+    curve = gaussian_boundary(
+        spec, np.append(np.linspace(0.0, rc_max, points), math.inf))
+    _emit(_csv_text("rc,r_min", curve.rates()), args.out)
     return EXIT_OK
 
 

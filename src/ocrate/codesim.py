@@ -82,6 +82,7 @@ from .transport import (COST_SLACK, Coupling, TransportProblem, _flow_lp,
                         repair_marginals, solve_ot)
 
 CODEBOOK_CAP = 2 ** 24
+WORD_CELL_CAP = 2 ** 27     # letters of the index words drawn at once
 WORK_CAP = 10 ** 7          # cells per enumeration tensor in exact mode
 PLAN_CAP = 2 ** 20          # cells of the block-correction plan
 TRIAL_CAP = 2 ** 24         # trials x n cells of the per-trial arrays
@@ -237,19 +238,26 @@ def generate_codebook(triple: MarkovTriple, n: int, r: float, rc: float,
     if num_j * num_k > CODEBOOK_CAP:
         raise CapExceeded(f"codebook of {num_j}x{num_k} words exceeds cap "
                           f"{CODEBOOK_CAP}")
-    if num_j * num_k * n > 2 ** 27:
+    if num_j * num_k * n > WORD_CELL_CAP:
         raise CapExceeded("codebook array too large to materialize")
-    # rng.choice(..., p=...) over the whole array, drawn in j-slices so
-    # the uniforms never take as much memory as the codebook
-    rng = _stream(seed, _STREAM_CODEBOOK)
-    size = triple.index_size
-    cdf = _cdf(triple.weights.probs)[None]
-    book = np.empty((num_j, num_k, n), dtype=np.min_scalar_type(-size))
-    step = max(1, _CODEBOOK_SLICE // (num_k * n))
-    for lo in range(0, num_j, step):
-        part = book[lo:lo + step]
+    return _draw_words(triple.weights.probs, (num_j, num_k, n),
+                       _stream(seed, _STREAM_CODEBOOK))
+
+
+def _draw_words(weights: np.ndarray, shape: tuple[int, ...],
+                rng: np.random.Generator) -> np.ndarray:
+    """An array of the given shape of letters drawn iid from weights,
+    as rng.choice(weights.size, size=shape, p=weights) draws them, but
+    in slices along the first axis so the uniforms never take as much
+    memory as the array. The dtype is the smallest signed integer that
+    holds every letter."""
+    cdf = _cdf(weights)[None]
+    words = np.empty(shape, dtype=np.min_scalar_type(-weights.size))
+    step = max(1, _CODEBOOK_SLICE // math.prod(shape[1:]))
+    for lo in range(0, shape[0], step):
+        part = words[lo:lo + step]
         _draw(cdf, 0, rng.random(part.shape), part)
-    return book
+    return words
 
 
 def _one_hot(words: np.ndarray, size: int) -> np.ndarray:
@@ -415,18 +423,24 @@ def soft_covering_exact(p_v: Pmf, w_given_v: Channel, n: int, r: float,
     The mixture law is enumerated exactly; only the codebooks are
     random. This is the quantity whose expected decay certifies that
     rates above the mutual information wash out the codebook identity.
+    Every cap is checked before anything is drawn or enumerated.
     """
     if num_codebooks < 1:
         raise ValueError("need at least one codebook")
+    ny = w_given_v.output_size
+    if ny ** n > DEFAULT_BLOCK_CAP:
+        raise CapExceeded(f"{ny}^{n} output blocks exceed cap "
+                          f"{DEFAULT_BLOCK_CAP}")
     m = _ceil_codes(n * r)
     if m > CODEBOOK_CAP:
         raise CapExceeded(f"codebook of {m} words exceeds cap {CODEBOOK_CAP}")
+    if m * n > WORD_CELL_CAP:
+        raise CapExceeded(f"codebook of {m} words of {n} letters exceeds "
+                          f"the cap of {WORD_CELL_CAP} letters")
     iid = product_extension(w_given_v.apply(p_v), n).probs
-    tvs = []
-    for c in range(num_codebooks):
-        rng = _stream(seed, c)
-        cw = rng.choice(p_v.size, size=(m, n), p=p_v.probs)
-        tvs.append(total_variation(mixture_output_law(cw, w_given_v), iid))
+    tvs = [total_variation(mixture_output_law(
+        _draw_words(p_v.probs, (m, n), _stream(seed, c)), w_given_v), iid)
+        for c in range(num_codebooks)]
     return float(np.mean(tvs))
 
 
@@ -565,13 +579,16 @@ def _block_plan(p: np.ndarray, q: np.ndarray, rho: np.ndarray,
 def _choose_mode(cfg: SimConfig, num_j: int, num_k: int) -> str:
     nx = cfg.triple.x_given_u.output_size
     ny = cfg.triple.y_given_u.output_size
-    codes = num_j * num_k
-    # codes >= 1, so these products also bound |X|^n, |Y|^n and the
-    # codebook's word count
-    fits = ((nx ** cfg.n) * codes <= WORK_CAP
-            and (ny ** cfg.n) * codes <= WORK_CAP
-            and (nx ** cfg.n) * (ny ** cfg.n) <= WORK_CAP
-            and (not cfg.correction or ny ** (2 * cfg.n) <= PLAN_CAP))
+    codes, n = num_j * num_k, cfg.n
+    # codes >= 1, so the first two also bound the word count; the last
+    # three (block tables, per-position laws) bind only on one letter
+    fits = ((nx ** n) * codes <= WORK_CAP
+            and (ny ** n) * codes <= WORK_CAP
+            and (nx ** n) * (ny ** n) <= WORK_CAP
+            and (not cfg.correction or ny ** (2 * n) <= PLAN_CAP)
+            and n * nx * ny ** n <= WORK_CAP
+            and n * nx ** n <= WORK_CAP
+            and n * ny ** n <= WORK_CAP)
     if cfg.mode == "exact" and not fits:
         raise CapExceeded("exact mode was forced but the run exceeds the caps")
     if cfg.mode == "monte-carlo":

@@ -185,14 +185,17 @@ def _xlog2x(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _h2(p: np.ndarray) -> np.ndarray:
+    # elementwise binary entropy in bits; starting from 0.0 keeps the
+    # zeros at p = 0 and p = 1 positive
+    return 0.0 - _xlog2x(p) - _xlog2x(1.0 - p)
+
+
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) source in bits."""
     if not -NEGATIVE_SLACK <= p <= 1.0 + NEGATIVE_SLACK:
         raise DomainError(f"binary_entropy argument {p!r} outside [0, 1]")
-    p = min(max(float(p), 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return float(_h2(np.array([min(max(float(p), 0.0), 1.0)]))[0])
 
 
 def entropy(p: Pmf | np.ndarray) -> float:

@@ -21,7 +21,8 @@ This module computes the extreme points of that region:
 * bsc_boundary / gaussian_boundary: the lower boundary r_min(rc) for
   the symmetric binary and scalar Gaussian families, as a RegionCurve
   holding the rc grid and r_min as two arrays; each solves its whole
-  rc grid at once, by one elementwise bisection.
+  rc grid at once, the binary one by one elementwise bisection, the
+  Gaussian one in closed form.
 * det_decoder_min_rate / empirical_region_min_rate: the two variation
   regions (decoder forced deterministic; constraint weakened to the
   empirical output histogram).
@@ -45,6 +46,7 @@ from .info import (
     DistortionMatrix,
     DomainError,
     Pmf,
+    _h2,
     _xlog2x,
     binary_entropy,
     entropy,
@@ -67,25 +69,24 @@ _SCALING_SWEEPS = 100_000
 BISECT_TOL = 1e-10
 
 
-def _bisect(f, lo: np.ndarray, hi: np.ndarray,
-            tol: float = BISECT_TOL) -> np.ndarray:
+def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Elementwise roots of nondecreasing functions by plain bisection.
 
     lo and hi are float arrays of one shape, and f maps an array of
     points of that shape to the values of each element's function. An
     element returns lo where f(lo) > 0, hi where f(hi) < 0, and
-    otherwise the midpoint of a bracket no wider than tol; infinities
-    at the endpoints are fine.
+    otherwise the midpoint of a bracket no wider than BISECT_TOL;
+    infinities at the endpoints are fine.
     """
     below, above = f(lo) > 0.0, f(hi) < 0.0
     ends = np.where(below, lo, hi)
-    active = ~below & ~above & (hi - lo > tol)
+    active = ~below & ~above & (hi - lo > BISECT_TOL)
     while active.any():
         mid = 0.5 * (lo + hi)
         step_up = f(mid) <= 0.0
         lo = np.where(active & step_up, mid, lo)
         hi = np.where(active & ~step_up, mid, hi)
-        active &= hi - lo > tol
+        active &= hi - lo > BISECT_TOL
     return np.where(below | above, ends, 0.5 * (lo + hi))
 
 
@@ -369,11 +370,6 @@ def c0_bsc(d: float) -> float:
     return wyner_bsc(d)
 
 
-def _h2(p: np.ndarray) -> np.ndarray:
-    # elementwise binary entropy, bit for bit binary_entropy on [0, 1]
-    return -(_xlog2x(p) + _xlog2x(1.0 - p))
-
-
 def _grid(rc_grid) -> np.ndarray:
     rc = np.asarray(rc_grid, dtype=float)
     if not np.all(rc >= 0.0):
@@ -410,46 +406,34 @@ def bsc_boundary(d: float, rc_grid) -> RegionCurve:
 
 def gaussian_mmi(spec: GaussianSpec) -> float:
     """Minimum I(X;Y) in bits over Gaussian couplings meeting the
-    squared-error budget; +inf when only perfect correlation fits."""
-    s = spec.sigma_x ** 2 + spec.sigma_y ** 2 - spec.d
-    if s <= 0.0:
-        return 0.0
-    r = s / (2.0 * spec.sigma_x * spec.sigma_y)
-    if r >= 1.0:
-        return INF
-    return -0.5 * math.log2(1.0 - r * r)
+    squared-error budget; +inf when only perfect correlation fits. It is
+    gaussian_boundary's value at rc = inf, bit for bit."""
+    return float(gaussian_boundary(spec, [INF]).r[0])
 
 
 def gaussian_boundary(spec: GaussianSpec, rc_grid) -> RegionCurve:
-    """Boundary r_min(rc) for the scalar Gaussian pair.
+    """Boundary r_min(rc) for the scalar Gaussian pair, in closed form.
 
     The grid must be strictly increasing; math.inf is allowed as the
-    final entry and maps to the unlimited-shared-randomness floor. The
-    finite entries are solved at once by one elementwise bisection.
+    final entry and maps to the unlimited-shared-randomness floor. With
+    s = sigma_x^2 + sigma_y^2 - d, K = (s / (2 sigma_x sigma_y))^2 and
+    A = a^2 sigma_x^2 for the index gain a, I(X;U) = -1/2 log2(1 - A)
+    and I(Y;U) = -1/2 log2(1 - K / A), so I(Y;U) = I(X;U) + rc is the
+    quadratic t A^2 + (1 - t) A - K = 0, t = 2^(-2 rc). Its root is
+    A = 2K / ((1 - t) + sqrt((1 - t)^2 + 4 t K)), with 1 - t by expm1
+    and the rate by log1p; rc = inf gives t = 0 and A = K. s <= 0 gives
+    0 and K >= 1 (only perfect correlation fits) inf at every rc.
     """
     rc = _grid(rc_grid)
-    sx2 = spec.sigma_x ** 2
-    sy2 = spec.sigma_y ** 2
-    s = sx2 + sy2 - spec.d
+    s = spec.sigma_x ** 2 + spec.sigma_y ** 2 - spec.d
     if s <= 0.0:
         return RegionCurve(spec.d, rc, np.zeros(rc.shape))
-    if s / (2.0 * spec.sigma_x * spec.sigma_y) >= 1.0:
+    k = (s / (2.0 * spec.sigma_x * spec.sigma_y)) ** 2
+    if k >= 1.0:
         return RegionCurve(spec.d, rc, np.full(rc.shape, INF))
-    finite = np.isfinite(rc)
-    budget = np.where(finite, rc, 0.0)
-
-    def info(t: np.ndarray) -> np.ndarray:
-        # -1/2 log2(t), +inf where t <= 0
-        return -0.5 * np.log2(t, out=np.full(t.shape, -INF), where=t > 0.0)
-
-    def imbalance(a: np.ndarray) -> np.ndarray:
-        b = s / (2.0 * a * sx2)
-        return info(1.0 - a * a * sx2) - info(1.0 - b * b / sy2) + budget
-
-    a = _bisect(imbalance, np.full(rc.shape, s / (2.0 * sx2 * spec.sigma_y)),
-                np.full(rc.shape, 1.0 / spec.sigma_x))
-    return RegionCurve(spec.d, rc, np.where(finite, info(1.0 - a * a * sx2),
-                                            gaussian_mmi(spec)))
+    u = -np.expm1(-2.0 * math.log(2.0) * rc)
+    a = 2.0 * k / (u + np.sqrt(u * u + 4.0 * (1.0 - u) * k))
+    return RegionCurve(spec.d, rc, -0.5 / math.log(2.0) * np.log1p(-a))
 
 
 # ---------------------------------------------------------------------------

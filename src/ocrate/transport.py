@@ -186,39 +186,30 @@ def repair_marginals(table: np.ndarray, row_target: np.ndarray,
                      col_target: np.ndarray) -> np.ndarray:
     """Nudge a near-coupling onto its marginals to machine precision.
 
-    Rows are rescaled onto row_target, then column surpluses are moved
-    into column deficits proportionally within columns; row sums are
-    untouched by the second pass, so both marginals end exact up to
-    float rounding.
+    Rows first: each row is rescaled onto row_target (a massless row
+    with positive target takes the shape of col_target, a zero-target
+    row is zeroed). Then one proportional transfer, the rounding step of
+    Altschuler, Weed & Rigollet 2017: every column over its target by
+    more than 1e-15 gives up the fraction it overshoots, and the row
+    masses so taken go to the columns under their targets by more than
+    1e-15 in proportion to their deficits. Row sums are untouched by the
+    transfer, so both marginals end exact up to float rounding, and a
+    table whose columns already match within 1e-15 comes back as
+    rescaled. No BLAS call is made, so the bits follow numpy alone.
     """
-    t = np.clip(np.asarray(table, dtype=float), 0.0, None).copy()
+    t = np.maximum(np.asarray(table, dtype=float), 0.0)
     sums = t.sum(axis=1)
-    for i in range(t.shape[0]):
-        if row_target[i] <= 0.0:
-            t[i] = 0.0
-        elif sums[i] > 0.0:
-            t[i] *= row_target[i] / sums[i]
-        else:
-            t[i] = row_target[i] * col_target / col_target.sum()
-    err = col_target - t.sum(axis=0)
-    tiny = 1e-15
-    deficits = [j for j in range(t.shape[1]) if err[j] > tiny]
-    for b in deficits:
-        while err[b] > tiny:
-            a = int(np.argmin(err))
-            if err[a] >= -tiny:
-                break
-            move = min(-err[a], err[b])
-            col = t[:, a]
-            total = col.sum()
-            if total <= 0.0:
-                err[a] = 0.0
-                continue
-            share = col * (move / total)
-            t[:, a] -= share
-            t[:, b] += share
-            err[a] += move
-            err[b] -= move
+    t *= (row_target / np.where(sums > 0.0, sums, 1.0))[:, None]
+    massless = (sums <= 0.0) & (row_target > 0.0)
+    if massless.any():
+        t[massless] = row_target[massless, None] * col_target / col_target.sum()
+    col = t.sum(axis=0)
+    err = col_target - col
+    over, short = err < -1e-15, np.where(err > 1e-15, err, 0.0)
+    if over.any() and short.any():
+        taken = t[:, over] * (-err[over] / col[over])
+        t[:, over] -= taken
+        t += np.multiply.outer(taken.sum(axis=1), short / short.sum())
     return t
 
 
@@ -232,8 +223,9 @@ def solve_ot(problem: TransportProblem) -> Coupling:
     one linprog would return, bit for bit. RuntimeError means HiGHS
     found no optimum or its solution failed linprog's post-solve check.
     HiGHS meets the marginals only to its own feasibility
-    tolerance (about 1e-7 on large problems), so the plan is snapped
-    onto them with repair_marginals; it then reproduces them to 1e-9.
+    tolerance (about 1e-7 on large problems), so repair_marginals snaps
+    the plan onto them by one proportional transfer; a plan further
+    than MARGINAL_SLACK (1e-9) from them after that is a RuntimeError.
     """
     mu = problem.source.probs
     nu = problem.target.probs

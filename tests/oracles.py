@@ -4,12 +4,15 @@ Everything here avoids the library's solver paths on purpose: transport
 plans come from enumerating basic solutions of the transportation
 polytope or from scipy's public interior-point LP,
 constrained-information values come from a derivative-free nested grid,
-and lower bounds on them from weak Lagrangian duality.
+lower bounds on them from weak Lagrangian duality, and the Gaussian
+boundary from its two-information equation in mpmath's arbitrary
+precision.
 """
 
 import math
 from itertools import combinations, product
 
+import mpmath
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
@@ -225,6 +228,48 @@ def mmi_dual_lower_bound(mu, psi, rho, d, sweeps=5_000, steps=60):
         else:
             hi = mid
     return best
+
+
+def gaussian_rate_mp(sigma_x: float, sigma_y: float, d: float, rc: float,
+                     digits: int = 50) -> float:
+    """r_min(rc) of the scalar Gaussian pair, solved at `digits` digits
+    from the two-information equation itself, with no closed form.
+
+    With s = sigma_x^2 + sigma_y^2 - d, the index gain a ranges over
+    [s / (2 sigma_x^2 sigma_y), 1 / sigma_x] and sets
+    I(X;U) = -1/2 log2(1 - a^2 sigma_x^2) and
+    I(Y;U) = -1/2 log2(1 - b^2 / sigma_y^2), b = s / (2 a sigma_x^2).
+    I(Y;U) - I(X;U) falls from +inf to -inf over the range; bisection
+    on a finds where it equals rc, and the rate is I(X;U) there. At
+    rc = inf the root is the range's left end. The inputs are taken as
+    the exact binary values of the floats."""
+    with mpmath.workdps(digits):
+        sx, sy, d = mpmath.mpf(sigma_x), mpmath.mpf(sigma_y), mpmath.mpf(d)
+        s = sx ** 2 + sy ** 2 - d
+        if s <= 0:
+            return 0.0
+        if s >= 2 * sx * sy:
+            return math.inf
+
+        def info(v):
+            return -mpmath.log(v, 2) / 2 if v > 0 else mpmath.inf
+
+        def rate_x(a):
+            return info(1 - a * a * sx ** 2)
+
+        def gap(a):
+            return info(1 - (s / (2 * a * sx ** 2)) ** 2 / sy ** 2) - rate_x(a)
+
+        lo, hi = s / (2 * sx ** 2 * sy), 1 / sx
+        if math.isinf(rc):
+            return float(rate_x(lo))
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            if gap(mid) > rc:
+                lo = mid
+            else:
+                hi = mid
+        return float(rate_x((lo + hi) / 2))
 
 
 def mixture_law_by_loop(codewords, rows):

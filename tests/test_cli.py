@@ -98,12 +98,22 @@ def test_region_gauss_curve_and_infinite_tail():
 
 def test_region_gauss_loose_budget_costs_nothing():
     # distortion budget at the sum of the variances: independence is
-    # already close enough, so every row is zero
+    # already close enough, so every row is zero, not -0 or nan
     proc = run_cli("region-gauss", "--sigma-x", "1.0", "--sigma-y", "1.0",
                    "--d", "2.0", "--points", "5")
     assert proc.returncode == 0
     _, rows = parse_csv(proc.stdout)
-    assert all(float(r[1]) == 0.0 for r in rows)
+    assert [r[1] for r in rows] == ["0"] * 6
+    assert rows[-1][0] == "inf"
+
+
+def test_region_gauss_perfect_correlation_rows_are_infinite():
+    # d = (sigma_x - sigma_y)^2: only the deterministic coupling fits
+    proc = run_cli("region-gauss", "--sigma-x", "1.0", "--sigma-y", "2.0",
+                   "--d", "1.0", "--points", "5")
+    assert proc.returncode == 0
+    _, rows = parse_csv(proc.stdout)
+    assert [r[1] for r in rows] == ["inf"] * 6
     assert rows[-1][0] == "inf"
 
 
@@ -504,6 +514,23 @@ def test_simulate_cap_exit(sim_config):
         proc = run_cli("simulate", "--config", cfg, "--out", str(out))
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("x_given_u, y_given_u, rho", [
+    ([[1.0], [1.0]], IDENTITY_ROWS, [[0.0, 1.0]]),
+    (IDENTITY_ROWS, [[1.0], [1.0]], [[0.0], [1.0]]),
+])
+def test_simulate_forced_exact_with_one_letter_exits_with_cap_code(
+        sim_config, x_given_u, y_given_u, rho):
+    # 2^23 blocks on one side: the block tables would take 1.5 GB each
+    payload, tmp_path = sim_config
+    cfg = write_config(tmp_path, dict(
+        payload, x_given_u=x_given_u, y_given_u=y_given_u, rho=rho, n=23,
+        r=0.0, rc=0.0, correction=False))
+    proc = run_cli("simulate", "--config", cfg, "--out",
+                   str(tmp_path / "r.json"))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("power", ["NaN", "Infinity", "1e400"])

@@ -351,6 +351,37 @@ def test_soft_covering_edge_cases():
         soft_covering_exact(UNIFORM2, ident, 1, 25.0, seed=0)
 
 
+def test_soft_covering_checks_its_caps_before_it_draws():
+    """At r = 1, n = 23 the 2^23 words pass the word cap but their
+    193M letters do not: CapExceeded comes before any word, uniform or
+    output law is allocated; the words and their uniforms alone would
+    take about 3 GB. Past the block cap that cap is named first."""
+    chan = Channel.bsc(0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="letters"):
+            soft_covering_exact(UNIFORM2, chan, 23, 1.0, seed=0)
+        with pytest.raises(CapExceeded, match="output blocks"):
+            soft_covering_exact(UNIFORM2, chan, 24, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.0, 0.5, 0.3],
+                                     [1e-9, 1.0 - 2e-9, 1e-9]])
+def test_soft_covering_words_are_numpy_choice_draws(weights):
+    """The j-sliced sampler draws the words rng.choice drew before it,
+    slice boundaries included, on 5 seeds."""
+    p = np.array(weights)
+    for seed in range(5):
+        for shape in ((1000, 7), (codesim._CODEBOOK_SLICE // 5 + 3, 5)):
+            np.testing.assert_array_equal(
+                codesim._draw_words(p, shape, codesim._stream(seed, 0)),
+                codesim._stream(seed, 0).choice(p.size, size=shape, p=p))
+
+
 def test_soft_covering_trend():
     """Above the mutual information the codebook identity washes out:
     the averaged total variation drops along n = 2, 4, 6."""
@@ -775,6 +806,22 @@ def test_exact_mode_at_the_plan_cap():
     # without the correction stage there is no plan to cap
     plain = _demo_config(n=11, r=0.5, rc=0.3, seed=0, correction=False)
     assert _choose_mode(plain, 46, 10) == "exact"
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 2), (2, 1)])
+def test_one_letter_alphabets_leave_exact_mode_at_the_block_tables(nx, ny):
+    """With one letter on a side, 2^23 blocks on the other pass the
+    |X|^n |Y|^n cap, but the block tables and the per-position law and
+    letter-cost tensors (n |X| |Y|^n cells, 1.5 GB each) do not."""
+    triple = MarkovTriple(UNIFORM2, Channel(np.full((2, nx), 1.0 / nx)),
+                          Channel(np.full((2, ny), 1.0 / ny)))
+    cfg = SimConfig(triple=triple, rho=DistortionMatrix(np.ones((nx, ny))),
+                    n=23, r=0.0, rc=0.0, trials=4, seed=0, correction=False)
+    assert _choose_mode(cfg, 1, 1) == "monte-carlo"
+    with pytest.raises(CapExceeded, match="caps"):
+        _choose_mode(SimConfig(**dict(vars(cfg), mode="exact")), 1, 1)
+    # at n = 19 the tensors have 19 * 2^19 < 10^7 cells
+    assert _choose_mode(SimConfig(**dict(vars(cfg), n=19)), 1, 1) == "exact"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

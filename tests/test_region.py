@@ -1,6 +1,7 @@
 """Rate-region solvers: closed forms, witnesses, and cross-checks."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,10 +30,11 @@ from ocrate import (
     total_variation,
     wyner_bsc,
 )
+from ocrate import region
 from ocrate.region import (BISECT_TOL, I0_RESTARTS_CAP, _bisect,
                            _repair_triple, _snap_channel)
 from ocrate.transport import TransportProblem, solve_ot
-from oracles import (grid_mmi_3x3, mmi_dual_lower_bound,
+from oracles import (gaussian_rate_mp, grid_mmi_3x3, mmi_dual_lower_bound,
                      ot_vertex_enumeration, random_mmi_instance)
 
 BERN_HALF = Pmf(np.array([0.5, 0.5]))
@@ -301,8 +303,28 @@ def test_gaussian_perfect_reconstruction_rate_is_infinite():
     assert math.isinf(gaussian_mmi(spec))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.02, 0.98),
+       st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6))
+def test_gaussian_closed_form_matches_the_mpmath_root(sx, sy, share, points):
+    """The closed form is within 1e-12 relative of the two-information
+    equation solved at 50 digits, with no bisection run. The budget
+    stays a share of 2 to 98% of the way from perfect correlation to
+    independence: at either end s or 1 - K is itself a difference of
+    nearly equal floats, which no formula can recover."""
+    gap = (sx - sy) ** 2
+    d = gap + share * (sx * sx + sy * sy - gap)
+    grid = np.append(_increasing([0.0] + points), math.inf)
+    with patch.object(region, "_bisect", side_effect=AssertionError):
+        rates = gaussian_boundary(GaussianSpec(sx, sy, d), grid).rates()
+    for rc, r in rates:
+        want = gaussian_rate_mp(sx, sy, d, rc)
+        assert abs(r - want) <= 1e-12 * want, (rc, r, want)
+
+
 # ---------------------------------------------------------------------------
-# whole-grid curves: one elementwise bisection per curve
+# whole-grid curves: one elementwise bisection (binary) or one closed
+# form (Gaussian) per curve
 
 
 def _scalar_bisect(f, lo, hi, tol=BISECT_TOL):

@@ -21,6 +21,7 @@ from ocrate.transport import (
     _transport_lp,
     _transport_matrix,
     optimal_face,
+    repair_marginals,
     solve_ot,
 )
 from oracles import ot_vertex_enumeration
@@ -261,3 +262,62 @@ def test_optimal_face_clears_traces_and_keeps_only_used_cells():
     costs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     _, face = optimal_face(np.diag(quarter), costs)
     assert np.array_equal(face, costs == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# marginal repair
+
+
+def _pmf_with_zeros(gen, size):
+    p = gen.dirichlet(np.ones(size)) * (gen.random(size) < 0.7)
+    if not p.any():
+        p[gen.integers(size)] = 1.0
+    return p / p.sum()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from([0.0, 1e-12, 1e-6, 0.1, 2.0]), st.integers(0, 2 ** 32 - 1))
+def test_repair_marginals_meets_both_marginals(m, n, noise, seed):
+    """Near-couplings of pmfs with zeros, from the exact coupling up to
+    noise 2 (any nonnegative table once clipped), some rows massless:
+    the repair meets both marginals to float rounding, keeps every
+    entry nonnegative, and leaves zero-target rows zero."""
+    gen = np.random.default_rng(seed)
+    rows, cols = _pmf_with_zeros(gen, m), _pmf_with_zeros(gen, n)
+    table = np.outer(rows, cols) * (1.0 + noise * gen.standard_normal((m, n)))
+    table[gen.random(m) < 0.2] = 0.0
+    given_table = table.copy()
+    out = repair_marginals(table, rows, cols)
+    assert np.array_equal(table, given_table)
+    assert np.all(out >= 0.0)
+    assert np.max(np.abs(out.sum(axis=1) - rows)) <= 2e-15
+    assert np.max(np.abs(out.sum(axis=0) - cols)) <= 2e-15
+    assert np.all(out[rows == 0.0] == 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+def test_repair_marginals_leaves_a_matching_table_alone(m, n, seed):
+    """A table whose row sums are its row targets and whose column sums
+    are within 1e-15 of theirs comes back bit for bit."""
+    gen = np.random.default_rng(seed)
+    table = gen.random((m, n)) * (gen.random((m, n)) < 0.7)
+    cols = table.sum(axis=0) + gen.uniform(-5e-16, 5e-16, n)
+    out = repair_marginals(table, table.sum(axis=1), np.maximum(cols, 0.0))
+    assert np.array_equal(out, table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_repair_marginals_moves_the_total_variation_off_a_diagonal(size, seed):
+    """From diag(induced), min(induced, target) stays on the diagonal
+    and the mass moved off it is the total variation: the least-mass
+    coupling that region._snap_channel reads its rows from."""
+    gen = np.random.default_rng(seed)
+    induced, target = _pmf_with_zeros(gen, size), _pmf_with_zeros(gen, size)
+    out = repair_marginals(np.diag(induced), induced, target)
+    assert np.max(np.abs(np.diag(out) - np.minimum(induced, target))) <= 1e-15
+    moved = out.sum() - np.trace(out)
+    assert abs(moved - total_variation(induced, target)) <= 2e-15
+    assert np.max(np.abs(out.sum(axis=0) - target)) <= 2e-15
