@@ -17,14 +17,16 @@ Two modes:
 * exact: every block law is enumerated (caps: |X|^n and |Y|^n at most
   1e7 blocks, at most 2^24 codewords, at most 1e7 cells per
   enumeration tensor, and with correction at most 2^20 cells in the
-  |Y|^n x |Y|^n correction plan, so binary n <= 10 and ternary
-  n <= 6). Output-law total variation, the idealized mixture law and
-  all mean distortions are computed exactly, the distortions from the
-  n per-position laws P(X_i, Y^n): no |X|^n x |Y|^n joint is built and
-  no BLAS product runs. The correction relabels each trial's output
-  block through its row of the exact block plan: for a metric letter
-  cost a minimum-cost flow on the arcs that change one letter of a
-  block (_block_plan), otherwise the full block transport problem.
+  |Y|^n x |Y|^n correction plan, so binary n <= 10 and ternary n <= 6
+  with correction, and without it binary n <= 18 and ternary n <= 11
+  at one codeword, fewer as the codebook grows). Output-law total
+  variation, the idealized mixture law and all mean distortions are
+  computed exactly, the distortions from the n per-position laws
+  P(X_i, Y^n): no |X|^n x |Y|^n joint is built and no BLAS product
+  runs. The correction relabels each trial's output block through its
+  row of the exact block plan: for a metric letter cost a minimum-cost
+  flow on the arcs that change one letter of a block (_block_plan),
+  otherwise the full block transport problem.
 * monte-carlo: beyond the caps. Per-trial sampling only; the output
   total variation is the biased plug-in estimate from the empirical
   block histogram and is flagged as such, and the correction stage
@@ -89,6 +91,7 @@ TRIAL_CAP = 2 ** 24         # trials x n cells of the per-trial arrays
 _CHUNK_WORK = 2_000_000
 _CODEBOOK_SLICE = 2 ** 18   # cells of a codebook or one-hot slice
 _SCORE_CELLS = 2 ** 17      # cells of a batch's scores and of its table
+_ZERO_LOG = -1e290          # a zero likelihood's log in the score table
 
 _STREAM_CODEBOOK = 0
 _STREAM_TRIALS = 1
@@ -277,24 +280,23 @@ def _scores(log_rows: np.ndarray, x_blocks: np.ndarray,
 
     The sums are products: the one-hot of a j-slice of the words (at
     most _CODEBOOK_SLICE cells) times the (|U| n, B) table whose row
-    c * n + i holds log_rows[c, x_blocks[:, i]]. -inf entries go into
-    the table as 0, and a second product with the table of where they
-    are gives -inf to every word with a zero-likelihood letter.
+    c * n + i holds log_rows[c, x_blocks[:, i]], one product per slice.
+    -inf entries go into the table as _ZERO_LOG, and scores below
+    1e-10 * _ZERO_LOG become -inf: a positive entry's log is at least
+    log(1e-300) (the clamp of Channel.log_rows), so for n < 1e277 only
+    a word with a zero-likelihood letter scores that low, and
+    n * _ZERO_LOG stays finite for n < 1e18. The one-hot's zeros times
+    the floor add -0.0, so every other score keeps its bits.
     """
     size = log_rows.shape[0]
     num_j, n = words.shape
-    cols = x_blocks.T
-    zero = np.isneginf(log_rows)
-    table = np.where(zero, 0.0, log_rows)[:, cols].reshape(size * n, -1)
-    zeros = zero.astype(float)[:, cols].reshape(size * n, -1) \
-        if zero.any() else None
+    table = np.maximum(log_rows, _ZERO_LOG)[:, x_blocks.T].reshape(
+        size * n, -1)
     out = np.empty((len(x_blocks), num_j))
     step = max(1, _CODEBOOK_SLICE // (size * n))
     for lo in range(0, num_j, step):
-        hot = _one_hot(words[lo:lo + step], size)
-        part = hot @ table
-        if zeros is not None:
-            part[hot @ zeros > 0.0] = -np.inf
+        part = _one_hot(words[lo:lo + step], size) @ table
+        part[part < 1e-10 * _ZERO_LOG] = -np.inf
         out[:, lo:lo + step] = part.T
     return out
 
@@ -581,14 +583,13 @@ def _choose_mode(cfg: SimConfig, num_j: int, num_k: int) -> str:
     ny = cfg.triple.y_given_u.output_size
     codes, n = num_j * num_k, cfg.n
     # codes >= 1, so the first two also bound the word count; the last
-    # three (block tables, per-position laws) bind only on one letter
+    # two are the per-position laws (and the output block table) and the
+    # source block table
     fits = ((nx ** n) * codes <= WORK_CAP
             and (ny ** n) * codes <= WORK_CAP
-            and (nx ** n) * (ny ** n) <= WORK_CAP
             and (not cfg.correction or ny ** (2 * n) <= PLAN_CAP)
             and n * nx * ny ** n <= WORK_CAP
-            and n * nx ** n <= WORK_CAP
-            and n * ny ** n <= WORK_CAP)
+            and n * nx ** n <= WORK_CAP)
     if cfg.mode == "exact" and not fits:
         raise CapExceeded("exact mode was forced but the run exceeds the caps")
     if cfg.mode == "monte-carlo":

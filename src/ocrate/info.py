@@ -15,8 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-LN2 = float(np.log(2.0))
-
 # constructors renormalize when |sum - 1| <= this, reject otherwise
 NORMALIZATION_SLACK = 1e-9
 # entries this far below zero are rejected rather than clipped
@@ -204,14 +202,17 @@ def entropy(p: Pmf | np.ndarray) -> float:
     return float(-_xlog2x(arr).sum())
 
 
+def _relative_entropy_bits(p: np.ndarray, q: np.ndarray) -> float:
+    """sum p log2(p / q) over the cells where p > 0, unfloored: the
+    callers snap its round-off each in their own way."""
+    mask = p > 0.0
+    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+
+
 def mutual_information(joint: JointPmf) -> float:
     """I(X;Y) in bits for a joint table."""
     t = joint.table
-    px = t.sum(axis=1)
-    py = t.sum(axis=0)
-    ref = np.outer(px, py)
-    mask = t > 0.0
-    val = float(np.sum(t[mask] * np.log2(t[mask] / ref[mask])))
+    val = _relative_entropy_bits(t, np.outer(t.sum(axis=1), t.sum(axis=0)))
     # cancellation noise is ~1e-16 per term and either sign; snap it so
     # product joints report an exact zero
     return 0.0 if val < 1e-12 else val

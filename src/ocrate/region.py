@@ -47,6 +47,7 @@ from .info import (
     DomainError,
     Pmf,
     _h2,
+    _relative_entropy_bits,
     _xlog2x,
     binary_entropy,
     entropy,
@@ -168,10 +169,6 @@ class MarkovTriple:
         if m > self.x_given_u.output_size + self.y_given_u.output_size + 1:
             raise ValueError("index alphabet exceeds |X| + |Y| + 1")
 
-    @property
-    def index_size(self) -> int:
-        return self.weights.size
-
     def induced_x(self) -> Pmf:
         return self.x_given_u.apply(self.weights)
 
@@ -194,12 +191,6 @@ class MarkovTriple:
 
 # ---------------------------------------------------------------------------
 # minimum mutual information over distortion-constrained couplings
-
-
-def _information_bits(table: np.ndarray, ref: np.ndarray) -> float:
-    mask = table > 0.0
-    val = float(np.sum(table[mask] * np.log2(table[mask] / ref[mask])))
-    return max(val, 0.0)
 
 
 def _sinkhorn(log_k: np.ndarray, mu: np.ndarray, psi: np.ndarray,
@@ -339,7 +330,7 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
 
     plan = np.exp(log_k + f[:, None] + g)
     witness = repair_marginals(plan, mu_s, psi_s)
-    value = _information_bits(witness, ref)
+    value = max(_relative_entropy_bits(witness, ref), 0.0)
     dual = (f @ mu_s + g @ psi_s - beta * d - plan.sum() + 1.0) / math.log(2.0)
     if value - dual > MMI_GAP_TOL:
         raise RuntimeError(f"information {value!r} is not certified: the "
@@ -559,8 +550,7 @@ class _AtomLp:
     feasible and the primal simplex re-solves warm from it.
     """
 
-    def __init__(self, mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float):
-        self.rho = rho.costs
+    def __init__(self, mu: Pmf, psi: Pmf, d: float):
         self.atoms_a = np.empty((0, mu.size))
         self.atoms_b = np.empty((0, psi.size))
         lower = np.concatenate([mu.probs, psi.probs[:-1],
@@ -579,8 +569,8 @@ class _AtomLp:
                            np.arange(lower.size - 3, lower.size - 1,
                                      dtype=np.int32), np.ones(2))
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        cols = _atom_columns(a, b, self.rho)
+    def add(self, a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> None:
+        """Add the atoms (a[k], b[k]) with their _atom_columns rows."""
         nonzero = cols != 0.0
         counts = nonzero.sum(axis=1)
         k = cols.shape[0]
@@ -701,9 +691,10 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     if best_value == 0.0:
         return best_value, best_triple
 
-    lp = _AtomLp(mu, psi, rho, d)
-    lp.add(np.vstack([t.x_given_u.rows for t in anchors] + [mu.probs]),
-           np.vstack([t.y_given_u.rows for t in anchors] + [psi.probs]))
+    lp = _AtomLp(mu, psi, d)
+    a = np.vstack([t.x_given_u.rows for t in anchors] + [mu.probs])
+    b = np.vstack([t.y_given_u.rows for t in anchors] + [psi.probs])
+    lp.add(a, b, _atom_columns(a, b, rho.costs))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     basic = None
     for _ in range(_I0_ROUNDS):
@@ -717,14 +708,15 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
                        rng.dirichlet(np.ones(psi.size), size=restarts)])
         for sweeps in (_I0_SWEEPS, _I0_SETTLE_SWEEPS):
             a, b = _price(duals, b, rho.costs, mu, psi, sweeps)
-            gain = _atom_columns(a, b, rho.costs) @ duals
+            cols = _atom_columns(a, b, rho.costs)
+            gain = cols @ duals
             new = np.argsort(-gain, kind="stable")[:_I0_NEW_COLUMNS]
             new = new[gain[new] > _I0_GAIN_TOL]
             if new.size:
                 break
         if new.size == 0:
             break
-        lp.add(a[new], b[new])
+        lp.add(a[new], b[new], cols[new])
 
     if basic is not None:
         weights, a, b = basic

@@ -698,20 +698,25 @@ def test_report_holds_trials_as_columns():
 
 
 def test_exact_laws_hold_no_block_joint():
-    """Binary n = 11 without the correction passes the |X|^n |Y|^n cap
-    at 4.2M cells, a 32 MiB dense joint; with 3 codewords the encoder
-    and decoder tensors have 6144 cells each. The per-position laws
+    """Binary n = 11 and 12 without the correction have 4.2M and 16.8M
+    block pairs, a 32 and a 128 MiB dense joint; with 3 and 13 codewords
+    the encoder and decoder tensors have 6144 and 53248 cells each. Auto
+    runs both exact, as forcing exact does, and the per-position laws
     keep the run's peak below an eighth of one such joint."""
-    cfg = _demo_config(n=11, r=0.1, rc=0.0, trials=10, correction=False)
-    tracemalloc.start()
-    try:
-        rep = run_simulation(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep.mode == "exact" and rep.num_j * rep.num_k == 3
-    joint_bytes = 2 ** 11 * 2 ** 11 * 8
-    assert peak <= joint_bytes / 8
+    for n, r, codes in ((11, 0.1, 3), (12, 0.3, 13)):
+        cfg = _demo_config(n=n, r=r, rc=0.0, trials=10, correction=False,
+                           mode="auto")
+        tracemalloc.start()
+        try:
+            rep = run_simulation(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.mode == "exact" and rep.num_j * rep.num_k == codes
+        joint_bytes = 2 ** n * 2 ** n * 8
+        assert peak <= joint_bytes / 8
+        forced = SimConfig(**dict(vars(cfg), mode="exact"))
+        assert run_simulation(forced).to_dict() == rep.to_dict()
 
 
 def _triangle_ok(corrected, distortion, move, exponent):
@@ -810,9 +815,10 @@ def test_exact_mode_at_the_plan_cap():
 
 @pytest.mark.parametrize("nx, ny", [(1, 2), (2, 1)])
 def test_one_letter_alphabets_leave_exact_mode_at_the_block_tables(nx, ny):
-    """With one letter on a side, 2^23 blocks on the other pass the
-    |X|^n |Y|^n cap, but the block tables and the per-position law and
-    letter-cost tensors (n |X| |Y|^n cells, 1.5 GB each) do not."""
+    """With one letter on a side, 2^23 blocks on the other fit the
+    likelihood and decoder tensors of one codeword, but the block tables
+    and the per-position law and letter-cost tensors (n |X| |Y|^n
+    cells, 1.5 GB each) do not."""
     triple = MarkovTriple(UNIFORM2, Channel(np.full((2, nx), 1.0 / nx)),
                           Channel(np.full((2, ny), 1.0 / ny)))
     cfg = SimConfig(triple=triple, rho=DistortionMatrix(np.ones((nx, ny))),
@@ -900,15 +906,25 @@ def test_wide_index_alphabet(nu, nx, ny, n, r, rc, dtype):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 30),
        st.integers(1, 9), st.integers(1, 12), st.integers(1, 64),
-       st.integers(0, 2 ** 32 - 1))
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 5e-324]))
+# a subnormal likelihood is positive: its word's score stays finite
+@example(nu=3, nx=3, num_j=7, n=9, trials=5, slice_cells=20, seed=0,
+         tiny=5e-324)
+# about 2000 zero-likelihood letters a word (seed 3 leaves a zero in
+# the one channel row) still read -inf
+@example(nu=1, nx=2, num_j=2, n=4000, trials=2, slice_cells=64, seed=3,
+         tiny=0.0)
 def test_scores_match_per_codeword_loop(nu, nx, num_j, n, trials,
-                                        slice_cells, seed):
+                                        slice_cells, seed, tiny):
     """_scores, built in one-hot j-slices of at most slice_cells cells
     (at least one word), is -inf exactly where a letter of the word has
-    zero likelihood, and otherwise the sum of the letters' logs to
-    round-off."""
+    zero likelihood, and otherwise the sum of the letters' logs, each
+    clamped at log(1e-300) as in Channel.log_rows, to round-off. A
+    positive tiny takes the place of the channel's zeros."""
     gen = np.random.default_rng(seed)
     chan = _zero_rich_channel(gen, nu, nx)
+    if tiny:
+        chan = Channel(np.where(chan.rows > 0.0, chan.rows, tiny))
     words = gen.integers(nu, size=(num_j, n)).astype(
         np.min_scalar_type(-nu))
     blocks = gen.integers(nx, size=(trials, n))
@@ -922,7 +938,7 @@ def test_scores_match_per_codeword_loop(nu, nx, num_j, n, trials,
             if min(probs) == 0.0:
                 assert got[b, j] == -np.inf
             else:
-                want = math.fsum(math.log(q) for q in probs)
+                want = math.fsum(math.log(max(q, 1e-300)) for q in probs)
                 assert abs(got[b, j] - want) <= 1e-12 * abs(want)
 
 

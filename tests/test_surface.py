@@ -27,6 +27,14 @@ def _load_tracing():
     return module
 
 
+def _child_env() -> dict:
+    # the package's sources first on the child's path
+    src = str(Path(ocrate.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+
+
 def test_traced_targets_resolve():
     missing = [f"{module}.{attr}"
                for module, attr, *_ in _load_tracing()._TARGETS
@@ -36,10 +44,20 @@ def test_traced_targets_resolve():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script):
-    src = str(Path(ocrate.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
+                          text=True, env=_child_env(), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_scipy_optimize():
+    # bench/worker.py's _cli_import_scipy_s probe times scipy.optimize
+    # under `python -X importtime -c "import ocrate.cli"` and raises when
+    # the import does not load it, which ends a traced `cli` run with
+    # exit 1. Drop this check once that probe no longer raises, with the
+    # change that makes the scipy.optimize import lazy.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ocrate.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env(), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
