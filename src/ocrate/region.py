@@ -212,8 +212,8 @@ def _sinkhorn(log_k: np.ndarray, mu: np.ndarray, psi: np.ndarray,
         g = log_psi - np.logaddexp.reduce(log_k + f[:, None], axis=0)
         f_next = log_mu - np.logaddexp.reduce(log_k + g, axis=1)
         # the row sums of exp(log_k + f + g) are mu * exp(f - f_next)
-        new_err = float(mu @ np.abs(np.expm1(f - f_next)))
-        new_dual = float(f @ mu + g @ psi)
+        new_err = float((mu * np.abs(np.expm1(f - f_next))).sum())
+        new_dual = float((f * mu).sum() + (g * psi).sum())
         if new_err >= err and new_dual <= dual:
             return f, g
         err, dual = min(err, new_err), max(dual, new_dual)
@@ -227,6 +227,17 @@ def _embed(table_s: np.ndarray, su: np.ndarray, sv: np.ndarray,
     full = np.zeros(shape)
     full[np.ix_(su, sv)] = table_s
     return full
+
+
+def _independent_fit(mu: Pmf, psi: Pmf, rho: DistortionMatrix,
+                     d: float) -> float | None:
+    """Cost of the independent coupling mu x psi, summed over the joint
+    support, if it is at most d up to 4 ulps (a budget computed as the
+    product mu rho psi^T can land that far below this sum), else None."""
+    su, sv = mu.support(), psi.support()
+    cost = float((np.outer(mu.probs[su], psi.probs[sv])
+                  * rho.costs[np.ix_(su, sv)]).sum())
+    return cost if cost <= d + 4.0 * np.spacing(cost) else None
 
 
 def _min_cost_coupling(mu: Pmf, psi: Pmf, rho: DistortionMatrix,
@@ -287,17 +298,13 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
         return INF, None
 
     # work on the joint support; massless symbols carry no information
-    su = mu.support()
-    sv = psi.support()
-    mu_s = mu.probs[su]
-    psi_s = psi.probs[sv]
+    su, sv = mu.support(), psi.support()
+    mu_s, psi_s = mu.probs[su], psi.probs[sv]
     rho_s = rho.costs[np.ix_(su, sv)]
     ref = np.outer(mu_s, psi_s)
 
-    ind_cost = float((ref * rho_s).sum())
-    # a budget computed as mu @ rho @ psi can land a few ulps below this
-    # sum of the same numbers
-    if ind_cost <= d + 4.0 * np.spacing(ind_cost):
+    ind_cost = _independent_fit(mu, psi, rho, d)
+    if ind_cost is not None:
         # the independent coupling is feasible and has zero information
         return 0.0, Coupling(_embed(ref, su, sv, rho.shape), ind_cost)
 
@@ -331,7 +338,8 @@ def mmi_constrained_output(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     plan = np.exp(log_k + f[:, None] + g)
     witness = repair_marginals(plan, mu_s, psi_s)
     value = max(_relative_entropy_bits(witness, ref), 0.0)
-    dual = (f @ mu_s + g @ psi_s - beta * d - plan.sum() + 1.0) / math.log(2.0)
+    dual = ((f * mu_s).sum() + (g * psi_s).sum() - beta * d - plan.sum()
+            + 1.0) / math.log(2.0)
     if value - dual > MMI_GAP_TOL:
         raise RuntimeError(f"information {value!r} is not certified: the "
                            f"dual bound is {dual!r}")
@@ -472,15 +480,11 @@ _I0_BUDGET_SLACK = 1e-9
 
 # column generation adds at most _I0_NEW_COLUMNS atoms a round, those
 # that gain more than _I0_GAIN_TOL bits, and stops when none does or
-# after _I0_ROUNDS rounds. Each pricing start alternates _I0_SWEEPS
-# times; where the gain is flat the alternation crawls, so a round that
-# finds no gaining atom runs the same chains _I0_SETTLE_SWEEPS more
-# times before the solver stops
+# after _I0_ROUNDS rounds; each pricing start alternates _I0_SWEEPS times
 _I0_GAIN_TOL = 1e-7
 _I0_NEW_COLUMNS = 10
 _I0_ROUNDS = 500
 _I0_SWEEPS = 30
-_I0_SETTLE_SWEEPS = 300
 
 
 def _repair_triple(s: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -489,8 +493,9 @@ def _repair_triple(s: np.ndarray, a: np.ndarray, b: np.ndarray,
     marginals hit (mu, psi) exactly; information can only shrink. The
     channels move as little mass as they can (cost 1 - I), so a triple
     that already meets its marginals comes back unchanged."""
-    a2 = a @ _snap_channel(Pmf(s @ a).probs, mu.probs)
-    b2 = b @ _snap_channel(Pmf(s @ b).probs, psi.probs)
+    a2, b2 = (np.einsum("uv,vz->uz", rows, _snap_channel(
+        Pmf(np.einsum("u,uv->v", s, rows)).probs, target.probs))
+        for rows, target in ((a, mu), (b, psi)))
     return MarkovTriple(Pmf(s), Channel(a2), Channel(b2))
 
 
@@ -514,8 +519,7 @@ def _anchor_triples(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
                             Channel(np.eye(psi.size))),
                MarkovTriple(Pmf(table.sum(axis=1)), Channel(np.eye(mu.size)),
                             Channel(_rows(table, psi.probs)))]
-    ind_cost = float((np.outer(mu.probs, psi.probs) * rho.costs).sum())
-    if ind_cost <= d:
+    if _independent_fit(mu, psi, rho, d) is not None:
         anchors.append(MarkovTriple(Pmf(np.ones(1)),
                                     Channel(mu.probs[None, :]),
                                     Channel(psi.probs[None, :])))
@@ -527,7 +531,7 @@ def _atom_columns(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarray:
     its last symbol, H(a), H(b) and the distortion a rho b^T."""
     return np.column_stack([a, b[:, :-1], -_xlog2x(a).sum(axis=1),
                             -_xlog2x(b).sum(axis=1),
-                            ((a @ rho) * b).sum(axis=1)])
+                            (np.einsum("kx,xy->ky", a, rho) * b).sum(axis=1)])
 
 
 def _softmax2(v: np.ndarray) -> np.ndarray:
@@ -594,18 +598,17 @@ class _AtomLp:
             if self.solver.getModelStatus() != optimal:
                 return None
         solution = self.solver.getSolution()
-        return (np.array(solution.col_value[1:]),
-                np.array(solution.row_dual))
+        return np.array(solution.col_value[1:]), np.array(solution.row_dual)
 
 
 def _price(duals: np.ndarray, b: np.ndarray, rho: np.ndarray, mu: Pmf,
-           psi: Pmf, sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+           psi: Pmf) -> tuple[np.ndarray, np.ndarray]:
     """Atoms of high gain (column dotted with the row duals), found by
-    alternating from each row of b: for fixed b the gain is linear in a
-    plus y_hx H(a), so its maximizer is a base-2 softmax at temperature
-    y_hx, and the same holds in b. Massless symbols get a potential of
-    -inf: a softmax never puts exactly zero mass on a symbol, and an atom
-    with mass on one could never enter the LP."""
+    _I0_SWEEPS alternations from each row of b: for fixed b the gain is
+    linear in a plus y_hx H(a), so its maximizer is a base-2 softmax at
+    temperature y_hx, and the same holds in b. Massless symbols get a
+    potential of -inf: a softmax never puts exactly zero mass on a
+    symbol, and an atom with mass on one could never enter the LP."""
     nx = mu.size
     y_a = np.where(mu.probs > 0.0, duals[:nx], -INF)
     y_b = np.where(psi.probs > 0.0,
@@ -616,9 +619,9 @@ def _price(duals: np.ndarray, b: np.ndarray, rho: np.ndarray, mu: Pmf,
     y_d = duals[-1]
     offset_a, coupling_a = y_a / t_a, rho.T * (y_d / t_a)
     offset_b, coupling_b = y_b / t_b, rho * (y_d / t_b)
-    for _ in range(sweeps):
-        a = _softmax2(b @ coupling_a + offset_a)
-        b = _softmax2(a @ coupling_b + offset_b)
+    for _ in range(_I0_SWEEPS):
+        a = _softmax2(np.einsum("ky,yx->kx", b, coupling_a) + offset_a)
+        b = _softmax2(np.einsum("kx,xy->ky", a, coupling_b) + offset_b)
     return a, b
 
 
@@ -638,8 +641,7 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     Dirichlet draws of b (seeded once by SeedSequence([seed, 0])) by a
     Blahut-Arimoto-style alternation (_price) and adds the best
     _I0_NEW_COLUMNS atoms that gain more than _I0_GAIN_TOL bits. It
-    stops when none does, even after _I0_SETTLE_SWEEPS more sweeps of
-    the same chains, or after _I0_ROUNDS rounds. The starting pool
+    stops when none does or after _I0_ROUNDS rounds. The starting pool
     is the atoms of the anchors below plus the independent atom
     (mu, psi), which enters even over budget. A basic solution uses at
     most |X| + |Y| + 1 atoms.
@@ -656,7 +658,9 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
     triple: a certified upper bound, not a certified optimum (pricing is
     a local search). Returns (inf, None) when no coupling meets the
     budget. ValueError for restarts < 1; CapExceeded above
-    I0_RESTARTS_CAP.
+    I0_RESTARTS_CAP. Every product is one of numpy's own loops, not a
+    BLAS call, so the bytes follow neither the BLAS kernel nor its
+    thread count.
     """
     if rho.shape != (mu.size, psi.size):
         raise ValueError("distortion matrix shape does not match marginals")
@@ -673,8 +677,7 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
         return INF, None
 
     cost_cap = d + I0_COST_SLACK * max(1.0, rho.max_cost)
-    best_value = INF
-    best_triple = None
+    best_value, best_triple = INF, None
 
     def consider(triple: MarkovTriple):
         nonlocal best_value, best_triple
@@ -682,8 +685,7 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
             return
         value = max(triple.information_x(), triple.information_y())
         if value < best_value:
-            best_value = value
-            best_triple = triple
+            best_value, best_triple = value, triple
 
     anchors = _anchor_triples(mu, psi, rho, d, base)
     for anchor in anchors:
@@ -706,14 +708,11 @@ def i0_solver(mu: Pmf, psi: Pmf, rho: DistortionMatrix, d: float,
         basic = (weights[used], lp.atoms_a[used], lp.atoms_b[used])
         b = np.vstack([basic[2],
                        rng.dirichlet(np.ones(psi.size), size=restarts)])
-        for sweeps in (_I0_SWEEPS, _I0_SETTLE_SWEEPS):
-            a, b = _price(duals, b, rho.costs, mu, psi, sweeps)
-            cols = _atom_columns(a, b, rho.costs)
-            gain = cols @ duals
-            new = np.argsort(-gain, kind="stable")[:_I0_NEW_COLUMNS]
-            new = new[gain[new] > _I0_GAIN_TOL]
-            if new.size:
-                break
+        a, b = _price(duals, b, rho.costs, mu, psi)
+        cols = _atom_columns(a, b, rho.costs)
+        gain = np.einsum("kj,j->k", cols, duals)
+        new = np.argsort(-gain, kind="stable")[:_I0_NEW_COLUMNS]
+        new = new[gain[new] > _I0_GAIN_TOL]
         if new.size == 0:
             break
         lp.add(a[new], b[new], cols[new])

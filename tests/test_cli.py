@@ -4,6 +4,7 @@ contracts, exit codes, determinism of written artifacts."""
 import json
 import math
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -400,6 +401,16 @@ _BLAS_SETTINGS = [("1", None), ("2", None), ("1", "Haswell"),
                   ("1", "Sandybridge"), ("1", "Nehalem")]
 
 
+def _blas_env(threads, kernel):
+    """The environment with that OpenBLAS thread count and kernel (None:
+    the CPU's own)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    return env
+
+
 @pytest.mark.parametrize("payload", [
     pytest.param(dict(_MC_THREADS, x_given_u=BSC25_ROWS), id="x_given_u0"),
     pytest.param(dict(_MC_THREADS, x_given_u=[[1.0, 0.0], [0.2, 0.8]]),
@@ -422,12 +433,8 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, payload):
     written = []
     for threads, kernel in _BLAS_SETTINGS:
         out = tmp_path / f"threads{threads}{kernel}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env.pop("OPENBLAS_CORETYPE", None)
-        if kernel:
-            env["OPENBLAS_CORETYPE"] = kernel
         proc = run_cli("simulate", "--config", cfg, "--out", str(out),
-                       env=env)
+                       env=_blas_env(threads, kernel))
         assert proc.returncode == 0, proc.stderr
         written.append((out.read_text(),
                         out.with_suffix(".trials.csv").read_text()))
@@ -452,14 +459,18 @@ print(json.dumps(results))
 
 def test_every_command_is_blas_thread_independent(tmp_path):
     """Every command on its demos/configs input writes the same bytes
-    under one and two OpenBLAS threads: one interpreter per thread count
-    runs them all."""
+    under one and two OpenBLAS threads and, on x86-64, under one thread
+    of the Prescott kernel, which needs only SSE3: one interpreter per
+    setting runs them all."""
     def config(name):
         return ["--config", str(DEMO_CONFIGS / name)]
 
+    settings = [("1", None), ("2", None)]
+    if platform.machine().lower() in ("x86_64", "amd64"):
+        settings.append(("1", "Prescott"))
     written = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}" / "simulate.json"
+    for threads, kernel in settings:
+        out = tmp_path / f"threads{threads}{kernel}" / "simulate.json"
         out.parent.mkdir()
         commands = [["region-bsc", *config("region_bsc.json")],
                     ["region-gauss", *config("region_gauss.json")],
@@ -473,16 +484,16 @@ def test_every_command_is_blas_thread_independent(tmp_path):
                     ["softcover", *config("softcover.json")]]
         proc = subprocess.run(
             [sys.executable, "-c", _MAIN_LOOP, json.dumps(commands)],
-            capture_output=True, text=True,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            capture_output=True, text=True, env=_blas_env(threads, kernel))
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout)
         assert [code for code, _ in results] == [0] * len(commands)
         written.append((results, out.read_text(),
                         out.with_suffix(".trials.csv").read_text()))
-    for one, two, argv in zip(written[0][0], written[1][0], commands):
-        assert one == two, argv
-    assert written[0][1:] == written[1][1:]
+    for setting, got in zip(settings[1:], written[1:]):
+        for one, other, argv in zip(written[0][0], got[0], commands):
+            assert one == other, (setting, argv)
+        assert got[1:] == written[0][1:], setting
 
 
 def test_simulate_requires_out(sim_config):

@@ -643,6 +643,63 @@ def test_i0_infeasible():
     assert triple is None
 
 
+def test_i0_is_zero_at_the_independent_cost():
+    """A budget computed as mu @ rho @ psi can land a few ulps below the
+    solver's own sum of the same products; the independent triple still
+    fits, so i0 returns exactly 0 with that one-atom witness, as mmi
+    does."""
+    rng = np.random.default_rng(0)
+    for k in range(60):
+        nx, ny = rng.integers(2, 6, size=2)
+        mu = rng.dirichlet(np.ones(nx))
+        psi = rng.dirichlet(np.ones(ny))
+        rho = 1.0 - np.eye(nx, ny) if k % 2 == 0 else rng.random((nx, ny))
+        value, triple = i0_solver(Pmf(mu), Pmf(psi), DistortionMatrix(rho),
+                                  float(mu @ rho @ psi), restarts=2)
+        assert value == 0.0, k
+        assert triple.weights.size == 1, k
+
+
+def test_atom_lp_retries_a_non_optimal_solve_from_scratch():
+    """_AtomLp.solve clears the solver and runs it once more when a
+    solve does not end optimal. The proxy reports the first solve as
+    not optimal; that solve started from scratch anyway, so the retry
+    finds the same optimum and i0 returns the same value."""
+    mu = Pmf(np.array([0.38, 0.25, 0.37]))
+    psi = Pmf(np.array([0.50, 0.30, 0.20]))
+    rho = DistortionMatrix(np.array([[0.28, 0.80, 0.87],
+                                     [0.30, 0.53, 0.07],
+                                     [0.58, 0.24, 0.76]]))
+    expected, _ = i0_solver(mu, psi, rho, 0.45, restarts=8)
+    make_highs, calls = region._highs, []
+
+    class FirstSolveNotOptimal:
+        def __init__(self):
+            self.solver = make_highs()
+
+        def __getattr__(self, name):
+            return getattr(self.solver, name)
+
+        def run(self):
+            calls.append("run")
+            return self.solver.run()
+
+        def clearSolver(self):
+            calls.append("clear")
+            return self.solver.clearSolver()
+
+        def getModelStatus(self):
+            calls.append("status")
+            if calls.count("status") == 1:
+                return region.highspy.HighsModelStatus.kNotset
+            return self.solver.getModelStatus()
+
+    with patch.object(region, "_highs", FirstSolveNotOptimal):
+        value, _ = i0_solver(mu, psi, rho, 0.45, restarts=8)
+    assert calls[:5] == ["run", "status", "clear", "run", "status"]
+    assert value == expected
+
+
 def test_i0_validation():
     with pytest.raises(ValueError):
         i0_solver(BERN_HALF, BERN_HALF, HAMMING2, 0.25, restarts=0)
